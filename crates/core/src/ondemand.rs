@@ -551,39 +551,36 @@ fn build_partition_ondemand(
         let t0 = Instant::now();
         // Partition-wide dictionary: interning each group's items at its
         // first occurrence in document order assigns exactly the codes the
-        // eager per-document pass would.
+        // eager per-document pass would. Signature groups that differ only
+        // in key order or null leaves share a transaction, hence the
+        // second interning by content.
         let mut dict = PathDictionary::new();
-        let mut txn_of_group: HashMap<u32, Vec<jt_mining::Item>> = HashMap::new();
-        let transactions: Vec<Vec<jt_mining::Item>> = groups
+        let mut distinct = jt_mining::Interner::default();
+        let mut shape_of_group: HashMap<u32, u32> = HashMap::new();
+        let shape_of: Vec<u32> = groups
             .iter()
             .map(|&g| {
-                txn_of_group
-                    .entry(g)
-                    .or_insert_with(|| {
-                        let mut t: Vec<jt_mining::Item> = shapes[g as usize]
-                            .items
-                            .iter()
-                            .map(|(p, ty)| dict.intern(p, *ty))
-                            .collect();
-                        t.sort_unstable();
-                        t.dedup();
-                        t
-                    })
-                    .clone()
+                *shape_of_group.entry(g).or_insert_with(|| {
+                    let mut t: Vec<jt_mining::Item> = shapes[g as usize]
+                        .items
+                        .iter()
+                        .map(|(p, ty)| dict.intern(p, *ty))
+                        .collect();
+                    t.sort_unstable();
+                    t.dedup();
+                    distinct.intern(t)
+                })
             })
             .collect();
         let order = reorder_partition(
-            &transactions,
+            &distinct.into_distinct(),
+            &shape_of,
             tile_size,
             config.threshold,
             config.partition_size,
             config.budget,
         );
         reorder_time = t0.elapsed();
-        jt_obs::counter_add!(
-            "load.reorder.moves",
-            order.iter().enumerate().filter(|&(i, &o)| i != o).count() as u64
-        );
         order
     } else {
         (0..docs.len()).collect()

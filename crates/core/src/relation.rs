@@ -740,9 +740,12 @@ fn build_partition(
 
     let order: Vec<usize> = if config.mode == StorageMode::Tiles && config.partition_size > 1 {
         let t0 = Instant::now();
-        // Partition-wide dictionary for the reorder transactions.
+        // Partition-wide dictionary for the reorder transactions, which
+        // are deduplicated here, once, into distinct shapes plus one id per
+        // document.
         let mut dict = crate::dict::PathDictionary::new();
-        let transactions: Vec<Vec<jt_mining::Item>> = leaves
+        let mut distinct = jt_mining::Interner::default();
+        let shape_of: Vec<u32> = leaves
             .iter()
             .map(|dl| {
                 let mut t: Vec<jt_mining::Item> = dl
@@ -752,21 +755,18 @@ fn build_partition(
                     .collect();
                 t.sort_unstable();
                 t.dedup();
-                t
+                distinct.intern(t)
             })
             .collect();
         let order = reorder_partition(
-            &transactions,
+            &distinct.into_distinct(),
+            &shape_of,
             tile_size,
             config.threshold,
             config.partition_size,
             config.budget,
         );
         reorder_time = t0.elapsed();
-        jt_obs::counter_add!(
-            "load.reorder.moves",
-            order.iter().enumerate().filter(|&(i, &o)| i != o).count() as u64
-        );
         order
     } else {
         (0..docs.len()).collect()

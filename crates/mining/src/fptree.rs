@@ -35,10 +35,10 @@ impl FpTree {
     /// Build from weighted transactions (`(items, weight)`), keeping only
     /// items with support ≥ `min_support`. Items inside each transaction
     /// are reordered by descending global frequency for maximal sharing.
-    fn build(transactions: &[(Vec<Item>, u32)], min_support: u32) -> FpTree {
+    fn build<T: AsRef<[Item]>>(transactions: &[(T, u32)], min_support: u32) -> FpTree {
         let mut freq: HashMap<Item, u32> = HashMap::new();
         for (t, w) in transactions {
-            for &i in t {
+            for &i in t.as_ref() {
                 *freq.entry(i).or_insert(0) += w;
             }
         }
@@ -68,7 +68,7 @@ impl FpTree {
         let mut sorted: Vec<(usize, Item)> = Vec::new();
         for (t, w) in transactions {
             sorted.clear();
-            for &i in t {
+            for &i in t.as_ref() {
                 if let Some(&r) = rank.get(&i) {
                     sorted.push((r, i));
                 }
@@ -156,7 +156,10 @@ pub fn fpgrowth(transactions: &[Vec<Item>], cfg: MinerConfig) -> Vec<Itemset> {
 /// the recursion — including the Eq. 1 size cap and budget truncation —
 /// sees an identical tree. `weighted_dedup_equals_per_document` below and
 /// the eager-vs-ondemand load tests pin this equivalence.
-pub fn mine_weighted(transactions: &[(Vec<Item>, u32)], cfg: MinerConfig) -> Vec<Itemset> {
+pub fn mine_weighted<T: AsRef<[Item]>>(
+    transactions: &[(T, u32)],
+    cfg: MinerConfig,
+) -> Vec<Itemset> {
     let _span = jt_obs::span!("mining.fpgrowth.ns");
     let tree = FpTree::build(transactions, cfg.min_support);
     let n_frequent = tree.header.len();

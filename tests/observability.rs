@@ -400,3 +400,47 @@ fn metrics_snapshot_round_trips_through_json() {
         );
     }
 }
+
+/// Partition reordering reports what it worked on — distinct shapes in,
+/// candidate itemsets mined, survivors matched — whichever loader called
+/// it, so a slow load can be attributed from `jt metrics` alone.
+#[test]
+fn reorder_counters_are_published_by_both_loaders() {
+    obs::set_enabled(true);
+    let docs = data::hackernews::generate(data::hackernews::HnConfig {
+        items: 400,
+        seed: 21,
+    });
+    let config = TilesConfig {
+        tile_size: 32,
+        partition_size: 4,
+        ..TilesConfig::default()
+    };
+    const NAMES: [&str; 3] = [
+        "load.reorder.shapes",
+        "load.reorder.candidates",
+        "load.reorder.survivors",
+    ];
+    // The registry is process-wide and other tests load concurrently, so
+    // only growth is asserted, never an exact value.
+    let read = || {
+        let snap = obs::global().snapshot();
+        NAMES.map(|n| snap.counter(n))
+    };
+    let before = read();
+    let _ = Relation::load(&docs, config);
+    let after_eager = read();
+    let text = data::to_ndjson(&docs);
+    Relation::try_load_ondemand(text.as_bytes(), config, 1).expect("ondemand load");
+    let after_ondemand = read();
+    for (i, name) in NAMES.iter().enumerate() {
+        assert!(
+            after_eager[i] > before[i],
+            "{name}: eager load added nothing"
+        );
+        assert!(
+            after_ondemand[i] > after_eager[i],
+            "{name}: on-demand load added nothing"
+        );
+    }
+}
