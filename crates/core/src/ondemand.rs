@@ -37,7 +37,9 @@ use crate::datetime::parse_timestamp;
 use crate::dict::PathDictionary;
 use crate::header::{ColumnMeta, TileHeader};
 use crate::path::KeyPath;
-use crate::relation::{panic_message, LoadError, LoadMetrics, Relation, RelationStats};
+#[cfg(test)]
+use crate::relation::TEST_PANIC_KEY;
+use crate::relation::{build_partitions, LoadError, PartitionBuild, Relation};
 use crate::reorder::reorder_partition;
 use crate::sinew::global_schema_weighted;
 use crate::tile::{push_leaf, BuildTiming, ColType, JsonbColumn, LeafValue, Tile};
@@ -51,7 +53,7 @@ const SIG_SEED: u64 = 0x7469_6c65_7369_6721;
 
 /// Outcome of one on-demand load: phase wall times, line accounting, and
 /// the §4.3 structure-dedup statistics. The relation's own
-/// [`LoadMetrics`] still covers tile formation.
+/// [`crate::LoadMetrics`] still covers tile formation.
 #[derive(Debug, Default, Clone)]
 pub struct IngestReport {
     /// Structural-index (tape) construction over all lines.
@@ -267,16 +269,6 @@ impl ShapeRegistry {
 }
 
 impl Relation {
-    /// On-demand bulk load from raw NDJSON bytes, with
-    /// [`Relation::default_load_threads`] workers. Panics on a loader
-    /// fault; services should use [`Relation::try_load_ondemand`].
-    pub fn load_ondemand(data: &[u8], config: TilesConfig) -> (Relation, IngestReport) {
-        match Self::try_load_ondemand(data, config, Self::default_load_threads()) {
-            Ok(x) => x,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
     /// On-demand bulk load from raw NDJSON bytes.
     ///
     /// Line handling matches the eager `from_ndjson` loader: lines split on
@@ -381,123 +373,26 @@ impl Relation {
             _ => None,
         };
 
-        // Phase 4: tile formation over document-index partitions — the same
-        // partition boundaries, worker split, and merge as the eager loader.
+        // Phase 4: tile formation through `build_partitions`, shared with
+        // the eager loader — same boundaries, worker split, merge, metrics.
         let t_mat = Instant::now();
-        let partition_rows = config.tile_size.max(1) * config.partition_size.max(1);
-        let bounds: Vec<(usize, usize)> = (0..docs.len())
-            .step_by(partition_rows)
-            .map(|s| (s, (s + partition_rows).min(docs.len())))
-            .collect();
-        let threads = threads.max(1).min(bounds.len().max(1));
-
-        type Built = (usize, Vec<Tile>, BuildTiming, Duration, Duration);
-        let docs_ref = &docs;
-        let groups_ref = &groups;
-        let shapes_ref = &registry.shapes;
-        let build_timed = |i: usize, (s, e): (usize, usize)| -> Built {
-            let t0 = Instant::now();
-            let (tiles, timing, reorder) = build_partition_ondemand(
-                &docs_ref[s..e],
-                &groups_ref[s..e],
-                shapes_ref,
+        let (tiles, metrics) = build_partitions(docs.len(), &config, threads, start, |r| {
+            #[cfg(test)]
+            if docs[r.clone()]
+                .iter()
+                .any(|d| d.root().get(TEST_PANIC_KEY).is_some())
+            {
+                panic!("injected loader fault");
+            }
+            build_partition_ondemand(
+                &docs[r.clone()],
+                &groups[r],
+                &registry.shapes,
                 &config,
                 sinew_schema.as_deref(),
-            );
-            (i, tiles, timing, reorder, t0.elapsed())
-        };
-        let mut results: Vec<Built> = if threads <= 1 {
-            let mut out = Vec::with_capacity(bounds.len());
-            for (i, &b) in bounds.iter().enumerate() {
-                match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| build_timed(i, b))) {
-                    Ok(built) => out.push(built),
-                    Err(payload) => {
-                        return Err(LoadError {
-                            partition: i,
-                            message: panic_message(payload.as_ref()),
-                        })
-                    }
-                }
-            }
-            out
-        } else {
-            let mut out = Vec::new();
-            let mut failure: Option<LoadError> = None;
-            std::thread::scope(|scope| {
-                let mut handles = Vec::new();
-                for (t, chunk) in bounds.chunks(bounds.len().div_ceil(threads)).enumerate() {
-                    let build_timed = &build_timed;
-                    let base = t * bounds.len().div_ceil(threads);
-                    handles.push((
-                        base,
-                        scope.spawn(move || {
-                            chunk
-                                .iter()
-                                .enumerate()
-                                .map(|(i, &b)| build_timed(base + i, b))
-                                .collect::<Vec<_>>()
-                        }),
-                    ));
-                }
-                for (base, h) in handles {
-                    match h.join() {
-                        Ok(built) => out.extend(built),
-                        Err(payload) => {
-                            if failure.is_none() {
-                                failure = Some(LoadError {
-                                    partition: base,
-                                    message: panic_message(payload.as_ref()),
-                                });
-                            }
-                        }
-                    }
-                }
-            });
-            if let Some(e) = failure {
-                return Err(e);
-            }
-            out
-        };
-        results.sort_by_key(|(i, ..)| *i);
-
-        let partition_count = results.len();
-        let mut tiles = Vec::new();
-        let mut timing = BuildTiming::default();
-        let mut reorder_time = Duration::ZERO;
-        for (_, t, bt, rt, wall) in results {
-            tiles.extend(t);
-            timing.add(&bt);
-            reorder_time += rt;
-            if jt_obs::enabled() {
-                jt_obs::global()
-                    .histogram("load.partition_build_ns")
-                    .record(wall.as_nanos().min(u64::MAX as u128) as u64);
-            }
-        }
+            )
+        })?;
         report.materialize = t_mat.elapsed();
-
-        let mut stats = RelationStats::new(&config);
-        let mut tile_offsets = Vec::with_capacity(tiles.len());
-        let mut offset = 0usize;
-        for (no, tile) in tiles.iter().enumerate() {
-            stats.absorb_tile(no as u64, tile);
-            tile_offsets.push(offset);
-            offset += tile.len();
-        }
-
-        let metrics = LoadMetrics {
-            total: start.elapsed(),
-            mining: timing.mining,
-            reorder: reorder_time,
-            write_jsonb: timing.write_jsonb,
-            extract: timing.extract,
-            rows: docs.len(),
-            partitions: partition_count,
-            threads,
-            ..LoadMetrics::default()
-        };
-        metrics.publish();
-        jt_obs::counter_add!("load.tiles_built", tiles.len() as u64);
 
         if jt_obs::enabled() {
             let g = jt_obs::global();
@@ -520,16 +415,7 @@ impl Relation {
             }
         }
 
-        let rel = Relation {
-            config,
-            tiles,
-            tile_offsets,
-            stats,
-            metrics,
-            pending: Vec::new(),
-        };
-        rel.publish_coverage();
-        Ok((rel, report))
+        Ok((Relation::from_tiles(config, tiles, metrics), report))
     }
 }
 
@@ -542,7 +428,7 @@ fn build_partition_ondemand(
     shapes: &[ShapeInfo],
     config: &TilesConfig,
     sinew_schema: Option<&[(KeyPath, ColType)]>,
-) -> (Vec<Tile>, BuildTiming, Duration) {
+) -> PartitionBuild {
     let mut timing = BuildTiming::default();
     let mut reorder_time = Duration::ZERO;
     let tile_size = config.tile_size.max(1);

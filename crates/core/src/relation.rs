@@ -8,6 +8,7 @@ use crate::tile::{collect_leaves, BuildTiming, ColType, DocLeaves, Tile, TileBui
 use crate::{StorageMode, TilesConfig};
 use jt_json::Value;
 use jt_stats::{FrequencyCounters, HyperLogLog};
+use std::ops::Range;
 use std::time::{Duration, Instant};
 
 /// Per-section-kind I/O breakdown of opening a persisted relation: how many
@@ -101,6 +102,18 @@ impl LoadMetrics {
         self.rows as f64 / self.total.as_secs_f64()
     }
 
+    /// Fold a later load's metrics (a flush or a publish) into these totals.
+    fn add(&mut self, delta: &LoadMetrics) {
+        self.total += delta.total;
+        self.mining += delta.mining;
+        self.reorder += delta.reorder;
+        self.write_jsonb += delta.write_jsonb;
+        self.extract += delta.extract;
+        self.rows += delta.rows;
+        self.partitions += delta.partitions;
+        self.threads = self.threads.max(delta.threads);
+    }
+
     /// Report this load to the global observability registry under the
     /// `load.*` and `persist.open.*` names. No-op unless
     /// [`jt_obs::enabled`]; called once per bulk load / flush / open, never
@@ -167,7 +180,7 @@ impl std::fmt::Display for LoadError {
 impl std::error::Error for LoadError {}
 
 /// Extract a human-readable message from a caught panic payload.
-pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -175,6 +188,115 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     } else {
         "<non-string panic>".to_string()
     }
+}
+
+/// Test-only fault injection: a top-level key that makes the partition
+/// holding its document panic in either loader, so the [`LoadError`]
+/// capture is exercised deterministically at every thread count.
+#[cfg(test)]
+pub(crate) const TEST_PANIC_KEY: &str = "__jt_test_loader_panic__";
+
+/// One partition's build: its tiles, their build timing, and the time
+/// spent reordering.
+pub(crate) type PartitionBuild = (Vec<Tile>, BuildTiming, Duration);
+
+/// The partition fan-out both bulk loaders share. Splits `rows` documents
+/// into `tile_size × partition_size` ranges, builds each with `build` on up
+/// to `threads` scoped workers ("each thread is dedicated to a disjoint
+/// subset of the data"), and merges the tiles in document order, so the
+/// result is identical at every thread count. A panicking build is
+/// captured as [`LoadError`] naming its partition, and the partial result
+/// is dropped. Returns the tiles and the load's metrics, `total` measured
+/// from `start`; publishes them along with each partition's wall time.
+pub(crate) fn build_partitions(
+    rows: usize,
+    config: &TilesConfig,
+    threads: usize,
+    start: Instant,
+    build: impl Fn(Range<usize>) -> PartitionBuild + Sync,
+) -> Result<(Vec<Tile>, LoadMetrics), LoadError> {
+    let partition_rows = config.tile_size.max(1) * config.partition_size.max(1);
+    let bounds: Vec<Range<usize>> = (0..rows)
+        .step_by(partition_rows)
+        .map(|s| s..(s + partition_rows).min(rows))
+        .collect();
+    let threads = threads.max(1).min(bounds.len().max(1));
+
+    // One worker's contiguous run of partitions, stopping at its first
+    // failure; each build carries its wall time.
+    type Built = Result<Vec<(PartitionBuild, Duration)>, LoadError>;
+    let run = |first: usize, ranges: &[Range<usize>]| -> Built {
+        ranges
+            .iter()
+            .enumerate()
+            .map(|(i, r)| {
+                let t0 = Instant::now();
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| build(r.clone())))
+                    .map(|built| (built, t0.elapsed()))
+                    .map_err(|payload| LoadError {
+                        partition: first + i,
+                        message: panic_message(payload.as_ref()),
+                    })
+            })
+            .collect()
+    };
+    let workers: Vec<Built> = if threads == 1 {
+        vec![run(0, &bounds)]
+    } else {
+        let per_worker = bounds.len().div_ceil(threads);
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = bounds
+                .chunks(per_worker)
+                .enumerate()
+                .map(|(t, ranges)| {
+                    let run = &run;
+                    scope.spawn(move || run(t * per_worker, ranges))
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("panics are caught per partition"))
+                .collect()
+        })
+    };
+    let workers = workers.into_iter().collect::<Result<Vec<_>, _>>()?;
+
+    let mut tiles = Vec::new();
+    let mut timing = BuildTiming::default();
+    let mut reorder = Duration::ZERO;
+    for ((t, bt, rt), wall) in workers.into_iter().flatten() {
+        tiles.extend(t);
+        timing.add(&bt);
+        reorder += rt;
+        if jt_obs::enabled() {
+            jt_obs::global()
+                .histogram("load.partition_build_ns")
+                .record(wall.as_nanos().min(u64::MAX as u128) as u64);
+        }
+    }
+    let metrics = LoadMetrics {
+        total: start.elapsed(),
+        mining: timing.mining,
+        reorder,
+        write_jsonb: timing.write_jsonb,
+        extract: timing.extract,
+        rows,
+        partitions: bounds.len(),
+        threads,
+        ..LoadMetrics::default()
+    };
+    metrics.publish();
+    jt_obs::counter_add!("load.tiles_built", tiles.len() as u64);
+    Ok((tiles, metrics))
+}
+
+/// Sinew's global schema over `docs`, which it needs before any tile can
+/// be built; `None` in the other modes.
+fn sinew_schema(docs: &[Value], config: &TilesConfig) -> Option<Vec<(KeyPath, ColType)>> {
+    (config.mode == StorageMode::Sinew).then(|| {
+        let leaves: Vec<DocLeaves> = docs.iter().map(|d| collect_leaves(d, config)).collect();
+        global_schema(&leaves, config.threshold)
+    })
 }
 
 /// Relation-level statistics for the optimizer (§4.6): 256 bounded
@@ -330,51 +452,20 @@ impl Relation {
         }
         let start = Instant::now();
         let docs = std::mem::take(&mut self.pending);
-        let sinew_schema: Option<Vec<(KeyPath, ColType)>> = match self.config.mode {
-            StorageMode::Sinew => {
-                let leaves: Vec<DocLeaves> = docs
-                    .iter()
-                    .map(|d| collect_leaves(d, &self.config))
-                    .collect();
-                Some(global_schema(&leaves, self.config.threshold))
-            }
-            _ => None,
-        };
-        let (tiles, timing, reorder) =
-            build_partition(&docs, &self.config, sinew_schema.as_deref());
-        jt_obs::counter_add!("load.tiles_built", tiles.len() as u64);
+        let config = self.config;
+        let sinew = sinew_schema(&docs, &config);
+        // Publishes only this flush's delta; `self.metrics` accumulates.
+        let (tiles, delta) = build_partitions(docs.len(), &config, 1, start, |r| {
+            build_partition(&docs[r], &config, sinew.as_deref())
+        })
+        .unwrap_or_else(|e| panic!("{e}"));
         for tile in tiles {
             let no = self.tiles.len() as u64;
             self.stats.absorb_tile(no, &tile);
             self.tile_offsets.push(self.stats.rows - tile.len());
             self.tiles.push(tile);
         }
-        // Publish only this flush's delta; `self.metrics` accumulates.
-        let delta = LoadMetrics {
-            total: start.elapsed(),
-            mining: timing.mining,
-            reorder,
-            write_jsonb: timing.write_jsonb,
-            extract: timing.extract,
-            rows: docs.len(),
-            partitions: 1,
-            threads: 1,
-            ..LoadMetrics::default()
-        };
-        delta.publish();
-        if jt_obs::enabled() {
-            jt_obs::global()
-                .histogram("load.partition_build_ns")
-                .record(delta.total.as_nanos().min(u64::MAX as u128) as u64);
-        }
-        self.metrics.total += delta.total;
-        self.metrics.mining += delta.mining;
-        self.metrics.extract += delta.extract;
-        self.metrics.write_jsonb += delta.write_jsonb;
-        self.metrics.reorder += delta.reorder;
-        self.metrics.rows += delta.rows;
-        self.metrics.partitions += delta.partitions;
-        self.metrics.threads = self.metrics.threads.max(delta.threads);
+        self.metrics.add(&delta);
         self.publish_coverage();
     }
 
@@ -428,138 +519,28 @@ impl Relation {
         threads: usize,
     ) -> Result<Relation, LoadError> {
         let start = Instant::now();
-        let partition_rows = config.tile_size.max(1) * config.partition_size.max(1);
-
-        // Sinew needs the global schema before any tile can be built.
-        let sinew_schema: Option<Vec<(KeyPath, ColType)>> = match config.mode {
-            StorageMode::Sinew => {
-                let leaves: Vec<DocLeaves> =
-                    docs.iter().map(|d| collect_leaves(d, &config)).collect();
-                Some(global_schema(&leaves, config.threshold))
-            }
-            _ => None,
-        };
-
-        let partitions: Vec<&[Value]> = docs.chunks(partition_rows.max(1)).collect();
-        let threads = threads.max(1).min(partitions.len().max(1));
-
-        // Each entry carries its partition's build wall time so the
-        // per-partition distribution is observable (`load.partition_build_ns`).
-        type Built = (usize, Vec<Tile>, BuildTiming, Duration, Duration);
-        let build_timed = |i: usize, p: &[Value]| -> Built {
-            let t0 = Instant::now();
-            // Test-only fault injection: a document carrying the sentinel
-            // key makes its partition's build panic, so the capture paths
-            // below are exercised deterministically at every thread count.
+        let sinew = sinew_schema(docs, &config);
+        let (tiles, metrics) = build_partitions(docs.len(), &config, threads, start, |r| {
+            let p = &docs[r];
             #[cfg(test)]
-            if p.iter().any(|d| {
-                matches!(d, Value::Object(fields)
-                    if fields.iter().any(|(k, _)| k == "__jt_test_loader_panic__"))
-            }) {
+            if p.iter().any(|d| d.get(TEST_PANIC_KEY).is_some()) {
                 panic!("injected loader fault");
             }
-            let (tiles, timing, reorder) = build_partition(p, &config, sinew_schema.as_deref());
-            (i, tiles, timing, reorder, t0.elapsed())
-        };
-        let mut results: Vec<Built> = if threads <= 1 {
-            let mut out = Vec::with_capacity(partitions.len());
-            for (i, p) in partitions.iter().enumerate() {
-                // Single-threaded loads capture panics too, so callers get
-                // the same LoadError contract at every thread count.
-                match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| build_timed(i, p))) {
-                    Ok(built) => out.push(built),
-                    Err(payload) => {
-                        return Err(LoadError {
-                            partition: i,
-                            message: panic_message(payload.as_ref()),
-                        })
-                    }
-                }
-            }
-            out
-        } else {
-            let mut out = Vec::new();
-            let mut failure: Option<LoadError> = None;
-            std::thread::scope(|scope| {
-                let mut handles = Vec::new();
-                for (t, chunk) in partitions
-                    .chunks(partitions.len().div_ceil(threads))
-                    .enumerate()
-                {
-                    let build_timed = &build_timed;
-                    let base = t * partitions.len().div_ceil(threads);
-                    handles.push((
-                        base,
-                        scope.spawn(move || {
-                            chunk
-                                .iter()
-                                .enumerate()
-                                .map(|(i, p)| build_timed(base + i, p))
-                                .collect::<Vec<_>>()
-                        }),
-                    ));
-                }
-                for (base, h) in handles {
-                    match h.join() {
-                        Ok(built) => out.extend(built),
-                        Err(payload) => {
-                            // Keep the first failure; later panics joined
-                            // anyway so no thread is left detached.
-                            if failure.is_none() {
-                                failure = Some(LoadError {
-                                    partition: base,
-                                    message: panic_message(payload.as_ref()),
-                                });
-                            }
-                        }
-                    }
-                }
-            });
-            if let Some(e) = failure {
-                return Err(e);
-            }
-            out
-        };
-        results.sort_by_key(|(i, ..)| *i);
+            build_partition(p, &config, sinew.as_deref())
+        })?;
+        Ok(Relation::from_tiles(config, tiles, metrics))
+    }
 
-        let partition_count = results.len();
-        let mut tiles = Vec::new();
-        let mut timing = BuildTiming::default();
-        let mut reorder_time = Duration::ZERO;
-        for (_, t, bt, rt, wall) in results {
-            tiles.extend(t);
-            timing.add(&bt);
-            reorder_time += rt;
-            if jt_obs::enabled() {
-                jt_obs::global()
-                    .histogram("load.partition_build_ns")
-                    .record(wall.as_nanos().min(u64::MAX as u128) as u64);
-            }
-        }
-
+    /// The constructor behind every load and publish: statistics and row
+    /// offsets rebuilt from `tiles` in order, and the coverage gauge
+    /// refreshed.
+    pub(crate) fn from_tiles(config: TilesConfig, tiles: Vec<Tile>, metrics: LoadMetrics) -> Self {
         let mut stats = RelationStats::new(&config);
         let mut tile_offsets = Vec::with_capacity(tiles.len());
-        let mut offset = 0usize;
         for (no, tile) in tiles.iter().enumerate() {
+            tile_offsets.push(stats.rows);
             stats.absorb_tile(no as u64, tile);
-            tile_offsets.push(offset);
-            offset += tile.len();
         }
-
-        let metrics = LoadMetrics {
-            total: start.elapsed(),
-            mining: timing.mining,
-            reorder: reorder_time,
-            write_jsonb: timing.write_jsonb,
-            extract: timing.extract,
-            rows: docs.len(),
-            partitions: partition_count,
-            threads,
-            ..LoadMetrics::default()
-        };
-        metrics.publish();
-        jt_obs::counter_add!("load.tiles_built", tiles.len() as u64);
-
         let rel = Relation {
             config,
             tiles,
@@ -569,7 +550,7 @@ impl Relation {
             pending: Vec::new(),
         };
         rel.publish_coverage();
-        Ok(rel)
+        rel
     }
 
     /// The load configuration.
@@ -634,14 +615,23 @@ impl Relation {
     }
 
     /// Build the next immutable *generation* of this relation (§4.9):
-    /// a new `Relation` containing every visible tile of `self` — with any
-    /// deferred §4.7 recomputations folded in, so the generation starts
-    /// with zero outliers — plus tiles formed from `self`'s pending
-    /// documents followed by `docs`, in that order. `self` is untouched;
-    /// readers holding it see exactly the rows they saw before, which is
-    /// what lets a service swap generations under concurrent queries
-    /// without blocking them.
-    pub fn with_appended(&self, docs: &[Value]) -> Relation {
+    /// every visible tile of `self` — with any deferred §4.7
+    /// recomputations folded in, so the generation starts with zero
+    /// outliers — followed by the tiles the on-demand loader forms from
+    /// the NDJSON batch `ndjson`, exactly as a bulk load of that batch
+    /// would. `self` is untouched; readers holding it see exactly the rows
+    /// they saw before, which is what lets a service swap generations
+    /// under concurrent queries without blocking them. The batch's load
+    /// times add to the generation's [`LoadMetrics`].
+    ///
+    /// Panics if `self` has [`Relation::insert`]ed rows pending: a
+    /// generation is built from visible tiles and the batch only.
+    pub fn with_appended(&self, ndjson: &[u8]) -> Result<Relation, LoadError> {
+        assert_eq!(
+            self.pending_rows(),
+            0,
+            "flush() before building a generation from a relation with pending inserts"
+        );
         let start = Instant::now();
         let mut tiles: Vec<Tile> = self.tiles.clone();
         for t in &mut tiles {
@@ -649,52 +639,16 @@ impl Relation {
                 t.recompute(&self.config);
             }
         }
-
-        let mut appended: Vec<Value> = self.pending.clone();
-        appended.extend(docs.iter().cloned());
-        let new_rows = appended.len();
-        if !appended.is_empty() {
-            let sinew_schema: Option<Vec<(KeyPath, ColType)>> = match self.config.mode {
-                StorageMode::Sinew => {
-                    let leaves: Vec<DocLeaves> = appended
-                        .iter()
-                        .map(|d| collect_leaves(d, &self.config))
-                        .collect();
-                    Some(global_schema(&leaves, self.config.threshold))
-                }
-                _ => None,
-            };
-            let (new_tiles, _timing, _reorder) =
-                build_partition(&appended, &self.config, sinew_schema.as_deref());
-            jt_obs::counter_add!("load.tiles_built", new_tiles.len() as u64);
-            tiles.extend(new_tiles);
-        }
-
-        // Stats and offsets are rebuilt from scratch: recomputed tiles may
-        // have different headers than the ones `self.stats` absorbed.
-        let mut stats = RelationStats::new(&self.config);
-        let mut tile_offsets = Vec::with_capacity(tiles.len());
-        let mut offset = 0usize;
-        for (no, tile) in tiles.iter().enumerate() {
-            stats.absorb_tile(no as u64, tile);
-            tile_offsets.push(offset);
-            offset += tile.len();
-        }
-
+        let (batch, _) = Self::try_load_ondemand(ndjson, self.config, 1)?;
+        tiles.extend(batch.tiles);
         let mut metrics = self.metrics.clone();
-        metrics.total += start.elapsed();
-        metrics.rows += new_rows;
-
-        let rel = Relation {
-            config: self.config,
-            tiles,
-            tile_offsets,
-            stats,
-            metrics,
-            pending: Vec::new(),
-        };
-        rel.publish_coverage();
-        rel
+        metrics.add(&LoadMetrics {
+            total: start.elapsed(),
+            ..batch.metrics
+        });
+        // Statistics are rebuilt from scratch: recomputed tiles may have
+        // different headers than the ones `self.stats` absorbed.
+        Ok(Relation::from_tiles(self.config, tiles, metrics))
     }
 
     /// Refresh the `load.extraction_coverage_pct` gauge: the mean fraction
@@ -730,7 +684,7 @@ fn build_partition(
     docs: &[Value],
     config: &TilesConfig,
     sinew_schema: Option<&[(KeyPath, ColType)]>,
-) -> (Vec<Tile>, BuildTiming, Duration) {
+) -> PartitionBuild {
     let mut timing = BuildTiming::default();
     let mut reorder_time = Duration::ZERO;
     let tile_size = config.tile_size.max(1);
@@ -819,7 +773,7 @@ mod tests {
     }
 
     #[test]
-    fn loader_panic_is_captured_as_load_error_at_every_thread_count() {
+    fn loader_panic_is_captured_as_load_error_by_both_loaders() {
         let config = TilesConfig {
             tile_size: 8,
             partition_size: 1,
@@ -828,20 +782,47 @@ mod tests {
         // Put the poisoned document in the third partition (rows 16..24) so
         // both earlier-success and partition-attribution are exercised.
         let mut docs = plain_docs(40);
-        docs[17] = jt_json::parse("{\"__jt_test_loader_panic__\":true}").unwrap();
+        docs[17] = jt_json::parse(&format!("{{\"{TEST_PANIC_KEY}\":true}}")).unwrap();
+        let ndjson: String = docs.iter().map(|d| jt_json::to_string(d) + "\n").collect();
 
         for threads in [1, 4] {
-            let err = Relation::try_load_with_threads(&docs, config.clone(), threads)
-                .expect_err("poisoned partition must fail the load");
-            assert!(
-                err.to_string().contains("injected loader fault"),
-                "payload message lost at threads={threads}: {err}"
-            );
-            // threads=1 attributes the exact partition; the parallel path
-            // reports the base partition of the failing worker's chunk.
-            if threads == 1 {
-                assert_eq!(err.partition, 2);
+            let eager = Relation::try_load_with_threads(&docs, config, threads).map(|_| ());
+            let ondemand =
+                Relation::try_load_ondemand(ndjson.as_bytes(), config, threads).map(|_| ());
+            for (loader, result) in [("eager", eager), ("ondemand", ondemand)] {
+                let err = result.expect_err("poisoned partition must fail the load");
+                assert!(
+                    err.to_string().contains("injected loader fault"),
+                    "{loader}: payload message lost at threads={threads}: {err}"
+                );
+                assert_eq!(err.partition, 2, "{loader} at threads={threads}");
             }
+        }
+    }
+
+    #[test]
+    fn partitions_merge_in_document_order_at_every_thread_count() {
+        // JSONB mode: no reordering, so each tile's first row is known.
+        let config = TilesConfig {
+            tile_size: 4,
+            partition_size: 2,
+            ..TilesConfig::with_mode(StorageMode::Jsonb)
+        };
+        for threads in [1, 2, 3, 8] {
+            let (tiles, metrics) = build_partitions(21, &config, threads, Instant::now(), |r| {
+                let docs = plain_docs(r.end)[r].to_vec();
+                build_partition(&docs, &config, None)
+            })
+            .unwrap();
+            let sizes: Vec<usize> = tiles.iter().map(Tile::len).collect();
+            assert_eq!(sizes, [4, 4, 4, 4, 4, 1], "threads={threads}");
+            let first_ids: Vec<Value> = tiles.iter().map(|t| t.doc_value(0)).collect();
+            let want: Vec<Value> = [0, 4, 8, 12, 16, 20]
+                .iter()
+                .map(|&i| plain_docs(21)[i].clone())
+                .collect();
+            assert_eq!(first_ids, want, "threads={threads}");
+            assert_eq!((metrics.rows, metrics.partitions), (21, 3));
         }
     }
 
@@ -853,8 +834,7 @@ mod tests {
             partition_size: 2,
             ..TilesConfig::default()
         };
-        let rel =
-            Relation::try_load_with_threads(&docs, config.clone(), 4).expect("clean load succeeds");
+        let rel = Relation::try_load_with_threads(&docs, config, 4).expect("clean load succeeds");
         assert_eq!(rel.row_count(), Relation::load(&docs, config).row_count());
         assert_eq!(rel.row_count(), 50);
     }

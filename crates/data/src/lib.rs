@@ -85,42 +85,6 @@ pub fn from_ndjson(text: &str) -> NdjsonLoad {
     load
 }
 
-/// Streaming variant of [`from_ndjson`]: reads line by line from any
-/// [`std::io::BufRead`], so a multi-gigabyte feed never needs the whole
-/// text in memory next to the parsed documents. Same lenient semantics
-/// (blank lines ignored, malformed lines skipped and counted) and the same
-/// ingestion counters.
-pub fn from_ndjson_reader<R: std::io::BufRead>(mut reader: R) -> std::io::Result<NdjsonLoad> {
-    let _span = jt_obs::span!("ingest.parse.ns");
-    let mut load = NdjsonLoad::default();
-    let mut line = String::new();
-    let mut no = 0usize;
-    loop {
-        line.clear();
-        if reader.read_line(&mut line)? == 0 {
-            break;
-        }
-        no += 1;
-        let l = line.strip_suffix('\n').unwrap_or(&line);
-        let l = l.strip_suffix('\r').unwrap_or(l);
-        if l.trim().is_empty() {
-            continue;
-        }
-        match jt_json::parse(l) {
-            Ok(d) => load.docs.push(d),
-            Err(e) => {
-                load.skipped += 1;
-                if load.errors.len() < MAX_REPORTED_ERRORS {
-                    load.errors.push((no, e.to_string()));
-                }
-            }
-        }
-    }
-    jt_obs::counter_add!("ingest.docs_parsed", load.docs.len() as u64);
-    jt_obs::counter_add!("ingest.docs_skipped", load.skipped as u64);
-    Ok(load)
-}
-
 /// On-demand NDJSON ingestion (paper §4.3): read the feed's raw bytes and
 /// hand them to [`jt_core::Relation::try_load_ondemand`] — structural-index
 /// parsing, structure-hash shape dedup, weighted mining, lazy extraction.
@@ -177,18 +141,6 @@ mod tests {
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 2);
         assert_eq!(jt_json::parse(lines[0]).unwrap(), docs[0]);
-    }
-
-    #[test]
-    fn reader_variant_matches_in_memory_parse() {
-        let text = "{\"id\":1}\n\n{\"id\":\n{\"id\":2}\r\n   \n{bad\n{\"id\":3}";
-        let eager = from_ndjson(text);
-        let streamed = from_ndjson_reader(std::io::Cursor::new(text.as_bytes())).unwrap();
-        assert_eq!(streamed.docs, eager.docs);
-        assert_eq!(streamed.skipped, eager.skipped);
-        assert_eq!(streamed.errors, eager.errors);
-        assert_eq!(streamed.docs.len(), 3);
-        assert_eq!(streamed.skipped, 2);
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //!
 //! **Phase accounting invariant:** `queue_wait + plan + execute + respond
 //! <= total`. The four phases are disjoint sub-intervals of the
-//! admission-to-response window measured by `total`, so their sum can
+//! admission-to-rendered-response window measured by `total`, so their sum can
 //! never exceed it (the remainder is untimed bookkeeping: channel hops,
 //! snapshot pinning, outcome classification).
 
@@ -76,9 +76,10 @@ pub struct QueryTrace {
     pub plan: Duration,
     /// Physical execution.
     pub execute: Duration,
-    /// Writing the response to the socket.
+    /// Rendering the response into its wire text. The socket write comes
+    /// after the trace is retained and is not timed.
     pub respond: Duration,
-    /// Admission to response written; upper bound on the phase sum.
+    /// Admission to response rendered; upper bound on the phase sum.
     pub total: Duration,
     /// Per-rewrite-pass planner timings, in pass order.
     pub passes: Vec<(&'static str, Duration)>,

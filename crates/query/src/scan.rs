@@ -129,7 +129,9 @@ impl ScanStats {
 }
 
 /// Execute a scan with `threads` workers. Output rows preserve tile order
-/// regardless of thread count, so results are deterministic.
+/// regardless of thread count, so results are deterministic. A scan with
+/// no accesses (`COUNT(*)`) returns one all-null column, because a
+/// zero-width chunk cannot carry a row count.
 pub fn execute_scan(spec: &ScanSpec<'_>, threads: usize) -> (Chunk, ScanStats) {
     run_scan(spec, threads, false, &CancelToken::none())
 }
@@ -375,6 +377,9 @@ fn scan_tile_vectorized(
             gather_access(tile, plans[i], &spec.accesses[i], &sel)
         };
     }
+    if n == 0 {
+        out.columns.push(vec![Scalar::Null; sel.len()]);
+    }
     out
 }
 
@@ -402,8 +407,10 @@ fn scan_tile_rowwise(
         }
         None => vec![false; spec.accesses.len()],
     };
-    let mut out = Chunk::empty(spec.accesses.len());
-    let mut row_buf: Vec<Scalar> = vec![Scalar::Null; spec.accesses.len()];
+    // With no accesses, the one all-null column counts the rows.
+    let width = spec.accesses.len().max(1);
+    let mut out = Chunk::empty(width);
+    let mut row_buf: Vec<Scalar> = vec![Scalar::Null; width];
     for row in 0..tile.len() {
         if let Some(f) = &spec.filter {
             for (i, (a, p)) in spec.accesses.iter().zip(plans).enumerate() {

@@ -6,15 +6,32 @@
 //! realizes that with immutable *generations*: a [`Generation`] is an
 //! `Arc<Relation>` plus a monotonically increasing id. Queries pin the
 //! current generation once at admission and run against it for their whole
-//! lifetime; appends buffer documents on the side, and a publish builds the
-//! next generation (carried tiles + recomputations + new tiles) and swaps
-//! the `Arc` — readers on the old generation are completely undisturbed.
+//! lifetime; appends buffer NDJSON lines on the side, and a publish builds
+//! the next generation (carried tiles + recomputations + tiles the
+//! on-demand loader forms from the buffered lines) and swaps the `Arc` —
+//! readers on the old generation are completely undisturbed.
 
 use jt_core::Relation;
-use jt_json::Value;
+use jt_json::{OnDemandDoc, Value};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::Instant;
+
+/// Appended documents not yet visible: validated NDJSON lines, each
+/// newline-terminated, plus their count.
+#[derive(Debug, Default)]
+struct Pending {
+    ndjson: Vec<u8>,
+    rows: usize,
+}
+
+impl Pending {
+    fn push(&mut self, line: &[u8]) {
+        self.ndjson.extend_from_slice(line);
+        self.ndjson.push(b'\n');
+        self.rows += 1;
+    }
+}
 
 /// One immutable, fully visible version of a table.
 #[derive(Debug, Clone)]
@@ -31,7 +48,7 @@ pub struct Generation {
 pub struct TableState {
     name: String,
     current: RwLock<Arc<Generation>>,
-    pending: Mutex<Vec<Value>>,
+    pending: Mutex<Pending>,
     /// Serializes publishes so two concurrent publishers cannot each build
     /// from the same base generation and lose the other's documents.
     publish_lock: Mutex<()>,
@@ -47,7 +64,7 @@ impl TableState {
                 id: 1,
                 relation: Arc::new(relation),
             })),
-            pending: Mutex::new(Vec::new()),
+            pending: Mutex::new(Pending::default()),
             publish_lock: Mutex::new(()),
             next_id: AtomicU64::new(2),
         }
@@ -68,17 +85,31 @@ impl TableState {
             .clone()
     }
 
-    /// Buffer documents for the next generation. Invisible to queries
-    /// until [`TableState::publish`] runs. Returns the pending count.
+    /// Buffer documents for the next generation, printed as NDJSON lines.
+    /// Invisible to queries until [`TableState::publish`] runs. Returns the
+    /// pending count.
     pub fn append(&self, docs: impl IntoIterator<Item = Value>) -> usize {
         let mut pending = self.pending.lock().expect("pending lock poisoned");
-        pending.extend(docs);
-        pending.len()
+        for d in docs {
+            pending.push(jt_json::to_string(&d).as_bytes());
+        }
+        pending.rows
+    }
+
+    /// Buffer one client-sent protocol line (which holds no `\n`) as it
+    /// is, once the structural index accepts it as exactly one JSON
+    /// document; no tree is built. Returns the pending count, or the parse
+    /// error with the buffer unchanged.
+    pub(crate) fn append_line(&self, line: &[u8]) -> Result<usize, jt_json::Error> {
+        OnDemandDoc::parse(line)?;
+        let mut pending = self.pending.lock().expect("pending lock poisoned");
+        pending.push(line);
+        Ok(pending.rows)
     }
 
     /// Buffered documents not yet visible to queries.
     pub fn pending_rows(&self) -> usize {
-        self.pending.lock().expect("pending lock poisoned").len()
+        self.pending.lock().expect("pending lock poisoned").rows
     }
 
     /// Build and atomically install the next generation: the current
@@ -87,18 +118,25 @@ impl TableState {
     /// there was nothing to do (no pending documents, no tile in need of
     /// recomputation). Queries running against older generations are
     /// untouched; new admissions pin the new generation.
+    ///
+    /// Panics if the loader fails on the buffered lines: each one was
+    /// validated on entry, so that is a loader bug, not bad input.
     pub fn publish(&self) -> Option<u64> {
         let _guard = self.publish_lock.lock().expect("publish lock poisoned");
-        let docs = std::mem::take(&mut *self.pending.lock().expect("pending lock poisoned"));
+        let pending = std::mem::take(&mut *self.pending.lock().expect("pending lock poisoned"));
         let base = self.snapshot();
         let needs_recompute = base.relation.tiles().iter().any(|t| t.needs_recompute());
-        if docs.is_empty() && !needs_recompute {
+        if pending.rows == 0 && !needs_recompute {
             return None;
         }
         let t0 = Instant::now();
+        let relation = base
+            .relation
+            .with_appended(&pending.ndjson)
+            .unwrap_or_else(|e| panic!("publishing {}: {e}", self.name));
         let next = Generation {
             id: self.next_id.fetch_add(1, Ordering::Relaxed),
-            relation: Arc::new(base.relation.with_appended(&docs)),
+            relation: Arc::new(relation),
         };
         let id = next.id;
         *self.current.write().expect("generation lock poisoned") = Arc::new(next);

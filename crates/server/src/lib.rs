@@ -54,11 +54,11 @@
 //! Every pool-executed request (SQL, `.sleep`, `.panic`) — including ones
 //! rejected at admission — produces one [`QueryTrace`]: client address,
 //! request text, pinned generation, per-phase durations (queue wait,
-//! planning with per-pass detail, execution, response write), rows, and
-//! an outcome (`ok`/`err`/`rejected`/`timeout`/`panicked`). Traces land
-//! in a bounded ring buffer ([`QueryLog`]); ones at or over the
-//! configured slow threshold are additionally pinned into a separate
-//! bounded slow log. The outcome also increments exactly one
+//! planning with per-pass detail, execution, rendering the response), rows,
+//! and an outcome (`ok`/`err`/`rejected`/`timeout`/`panicked`). Traces land
+//! in a bounded ring buffer ([`QueryLog`]) before the response is written;
+//! ones at or over the configured slow threshold are additionally pinned
+//! into a separate bounded slow log. The outcome also increments exactly one
 //! `server.queries.<outcome>` counter at response time, so the metrics
 //! and the query log reconcile.
 
@@ -329,21 +329,28 @@ fn accept_loop(
     }
 }
 
-/// Write an `ok <n>` header plus payload lines.
-fn write_ok(stream: &mut TcpStream, lines: &[String]) -> std::io::Result<()> {
+/// An `ok <n>` header plus payload lines, as sent.
+fn ok_text(lines: &[String]) -> String {
     let mut out = format!("ok {}\n", lines.len());
     for l in lines {
         out.push_str(l);
         out.push('\n');
     }
-    stream.write_all(out.as_bytes())
+    out
 }
 
-/// Write an `err <message>` line (newlines collapsed so the response
+/// An `err <message>` line, as sent (newlines collapsed so the response
 /// stays one line).
+fn err_text(message: &str) -> String {
+    format!("err {}\n", message.replace('\n', " "))
+}
+
+fn write_ok(stream: &mut TcpStream, lines: &[String]) -> std::io::Result<()> {
+    stream.write_all(ok_text(lines).as_bytes())
+}
+
 fn write_err(stream: &mut TcpStream, message: &str) -> std::io::Result<()> {
-    let one_line = message.replace('\n', " ");
-    stream.write_all(format!("err {one_line}\n").as_bytes())
+    stream.write_all(err_text(message).as_bytes())
 }
 
 /// The response a pool job hands back to its connection thread.
@@ -445,11 +452,8 @@ fn dispatch(
                     write_err(writer, &format!("unknown table {table}"))?;
                     return Ok(Flow::Continue);
                 };
-                // Validate via the structural index (one scan, no tree until
-                // the document is accepted), then materialize for the buffer.
-                match jt_json::OnDemandDoc::parse(json.as_bytes()) {
-                    Ok(doc) => {
-                        let pending = state.append([doc.root().to_value()]);
+                match state.append_line(json.as_bytes()) {
+                    Ok(pending) => {
                         jt_obs::counter_add!("server.appends", 1);
                         write_ok(writer, &[format!("pending {pending}")])?;
                     }
@@ -650,10 +654,12 @@ fn dispatch(
     Ok(Flow::Continue)
 }
 
-/// Write the reply, stamp the respond/total phases, bump exactly one
-/// `server.queries.<outcome>` counter, and retain the trace. Every
-/// pool-bound request — admitted or not — ends here exactly once, which
-/// is what keeps the outcome counters and the query log reconciled.
+/// Render the reply, stamp the respond/total phases, bump exactly one
+/// `server.queries.<outcome>` counter, retain the trace, and only then
+/// write the reply — a client holding an answer can always fetch its
+/// trace. Every pool-bound request — admitted or not — ends here exactly
+/// once, which is what keeps the outcome counters and the query log
+/// reconciled.
 fn finish(
     shared: &Shared,
     writer: &mut TcpStream,
@@ -661,12 +667,12 @@ fn finish(
     t_admit: Instant,
     reply: &JobReply,
 ) -> std::io::Result<()> {
-    let t_write = Instant::now();
-    let wrote = match reply {
-        JobReply::Ok(lines) => write_ok(writer, lines),
-        JobReply::Err(msg) => write_err(writer, msg),
+    let t_render = Instant::now();
+    let text = match reply {
+        JobReply::Ok(lines) => ok_text(lines),
+        JobReply::Err(msg) => err_text(msg),
     };
-    trace.respond = t_write.elapsed();
+    trace.respond = t_render.elapsed();
     trace.total = t_admit.elapsed();
     match trace.outcome {
         QueryOutcome::Ok => jt_obs::counter_add!("server.queries.ok", 1),
@@ -680,9 +686,8 @@ fn finish(
             .histogram("server.query.wall_ns")
             .record(trace.total.as_nanos().min(u64::MAX as u128) as u64);
     }
-    // Log even when the socket write failed — the query still ran.
     shared.log.push(trace);
-    wrote
+    writer.write_all(text.as_bytes())
 }
 
 /// Execute one pool job: SQL or a `.sleep`/`.panic` test query. Runs on a

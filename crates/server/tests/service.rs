@@ -243,6 +243,62 @@ fn append_flush_and_generation_reporting() {
     server.shutdown();
 }
 
+/// Lines as a client might write them: odd whitespace, `\u` escapes with a
+/// surrogate pair, number spellings, a duplicate key, permuted keys, and
+/// non-ASCII text.
+const CLIENT_LINES: [&str; 7] = [
+    "{ \"v\" : 100 ,\t\"k\" : 1, \"name\" : \"plain\" }",
+    r#"{"k":2,"v":101,"name":"caf\u00e9"}"#,
+    r#"{"v":102,"k":3,"name":"\ud83d\ude00 grin","x":1.50}"#,
+    r#"{"v":103,"k":4,"x":1E2,"name":"\u0041BC"}"#,
+    r#"{"v":104,"k":5,"x":-0,"name":"zero"}"#,
+    r#"{"v":105,"v":106,"k":6,"name":"dup"}"#,
+    r#"{"name":"日本語","k":0,"v":107,"x":"1.50"}"#,
+];
+
+#[test]
+fn noncanonical_appends_answer_like_a_bulk_load() {
+    let server = start(ServerConfig::default(), 0..10);
+    let mut c = Client::connect(&server);
+    let pending = |c: &mut Client| c.request(".generation t").expect("generation")[0].clone();
+
+    // A malformed line is refused and leaves the buffer as it was.
+    let bad = c.request(".append t {\"v\":1,").expect_err("truncated");
+    assert!(bad.starts_with("bad json"), "got {bad:?}");
+    assert_eq!(pending(&mut c), "t generation 1 rows 10 pending 0");
+    for (i, line) in CLIENT_LINES.iter().enumerate() {
+        let want = format!("pending {}", i + 1);
+        assert_eq!(c.request(&format!(".append t {line}")), Ok(vec![want]));
+    }
+    assert!(c.request(".append t {\"v\":1}}").is_err(), "trailing data");
+    assert_eq!(pending(&mut c), "t generation 1 rows 10 pending 7");
+    assert_eq!(
+        c.request(".flush t"),
+        Ok(vec!["t generation 2".to_string()])
+    );
+
+    // The same lines loaded in bulk after the base documents.
+    let mut ndjson: String = docs(0..10)
+        .iter()
+        .map(|d| jt_json::to_string(d) + "\n")
+        .collect();
+    for line in CLIENT_LINES {
+        ndjson.push_str(line);
+        ndjson.push('\n');
+    }
+    let (bulk, _) =
+        Relation::try_load_ondemand(ndjson.as_bytes(), TilesConfig::default(), 1).unwrap();
+    for sql in [
+        "SELECT COUNT(*), SUM(data->>'v'::INT) FROM t",
+        "SELECT data->>'v'::INT, data->>'name', data->>'x' FROM t ORDER BY 1",
+        "SELECT data->>'k'::INT, COUNT(*) FROM t WHERE data->>'x' IS NOT NULL GROUP BY 1 ORDER BY 1",
+    ] {
+        let want = jt_sql::query(sql, &[("t", &bulk)]).unwrap().to_lines();
+        assert_eq!(c.request(sql), Ok(want), "{sql}");
+    }
+    server.shutdown();
+}
+
 #[test]
 fn metrics_snapshot_counts_outcomes() {
     // The obs registry is process-global and other tests run concurrently

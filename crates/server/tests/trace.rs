@@ -91,11 +91,8 @@ fn every_outcome_lands_in_log_with_phase_accounting() {
     assert!(c
         .request("EXPLAIN ANALYZE SELECT COUNT(*) FROM t WHERE data->>'v'::INT < 10")
         .is_ok());
-    // Trace retention happens after the response write; a follow-up
-    // request on the same connection is a barrier that guarantees the
-    // previous request's accounting finished.
-    assert_eq!(c.request(".ping"), Ok(vec!["pong".to_string()]));
-
+    // Each trace is retained before its answer is written, so the log is
+    // complete as soon as the last answer arrives.
     let traces = server.traces();
     assert_eq!(traces.len(), 5, "every pool-bound request logged");
 
@@ -182,18 +179,9 @@ fn rejected_queries_are_traced_and_counters_reconcile_with_log() {
     }
     assert!(c.request("SELECT COUNT(data->>'v'::INT) FROM t").is_ok());
 
-    // Accounting lands after each response write, and the busy sleeps
-    // finished on their own connection threads — poll until all four
-    // traces are retained. Counters are bumped before the log push, so
-    // a full log implies settled counters.
-    let deadline = std::time::Instant::now() + Duration::from_secs(2);
-    let traces = loop {
-        let t = server.traces();
-        if t.len() == 4 || std::time::Instant::now() > deadline {
-            break t;
-        }
-        std::thread::sleep(Duration::from_millis(5));
-    };
+    // Every answer is in, so every trace is retained, and counters are
+    // bumped before the log push.
+    let traces = server.traces();
     // The rejected query is in the log too, with zeroed work phases.
     assert_eq!(traces.len(), 4);
     let r = traces
@@ -231,6 +219,44 @@ fn rejected_queries_are_traced_and_counters_reconcile_with_log() {
 }
 
 #[test]
+fn trace_is_retained_before_its_answer_is_written() {
+    let _guard = REGISTRY.lock().unwrap_or_else(|e| e.into_inner());
+    let config = ServerConfig {
+        log_capacity: 2048,
+        ..ServerConfig::default()
+    };
+    let server = start(config, 0..50);
+    // Concurrent clients keep the connection threads busy, so a trace
+    // retained after its answer is written would be caught missing.
+    std::thread::scope(|s| {
+        for client in 0..8 {
+            let server = &server;
+            s.spawn(move || {
+                let mut c = Client::connect(server);
+                for i in 0..200 {
+                    let sql = format!(
+                        "SELECT COUNT(*) FROM t WHERE data->>'v'::INT < {} OR {client} < 0",
+                        i % 50
+                    );
+                    assert_eq!(c.request(&sql), Ok(vec![(i % 50).to_string()]));
+                    // No barrier: the answer alone proves the trace is logged.
+                    let id = server
+                        .traces()
+                        .iter()
+                        .rev()
+                        .find(|t| t.query == sql)
+                        .map(|t| t.id)
+                        .unwrap_or_else(|| panic!("no trace right after answering {sql}"));
+                    let json = c.request(&format!(".trace {id}")).expect("trace json");
+                    assert!(json[0].contains(&format!("\"id\":{id},")), "{}", json[0]);
+                }
+            });
+        }
+    });
+    server.shutdown();
+}
+
+#[test]
 fn recent_ring_evicts_oldest_first() {
     let _guard = REGISTRY.lock().unwrap_or_else(|e| e.into_inner());
     let config = ServerConfig {
@@ -246,8 +272,6 @@ fn recent_ring_evicts_oldest_first() {
             ))
             .is_ok());
     }
-    // Barrier: retention happens after each response write.
-    assert_eq!(c.request(".ping"), Ok(vec!["pong".to_string()]));
     let traces = server.traces();
     assert_eq!(traces.len(), 4, "ring holds only the configured capacity");
     let ids: Vec<u64> = traces.iter().map(|t| t.id).collect();

@@ -215,6 +215,45 @@ fn identical_results_across_modes() {
 }
 
 #[test]
+fn bare_count_star_counts_every_row() {
+    // A scan with no JSON access must still carry its row count.
+    let docs = sales_docs();
+    let orders = load(&orders_docs());
+    for mode in [
+        StorageMode::JsonText,
+        StorageMode::Jsonb,
+        StorageMode::Sinew,
+        StorageMode::Tiles,
+    ] {
+        let config = TilesConfig {
+            tile_size: 128,
+            partition_size: 2,
+            ..TilesConfig::with_mode(mode)
+        };
+        let rel = Relation::load(&docs, config);
+        let tables = [("t", &rel), ("o", &orders)];
+        for threads in [1, 2] {
+            let count = |sql: &str| {
+                let opts = ExecOptions {
+                    threads,
+                    ..ExecOptions::default()
+                };
+                let r = jt_sql::query_with(sql, &tables, opts).unwrap();
+                r.column(0)[0].as_i64()
+            };
+            let at = format!("{mode:?} threads={threads}");
+            assert_eq!(count("SELECT COUNT(*) FROM t"), Some(400), "{at}");
+            assert_eq!(
+                count("SELECT COUNT(*) FROM t WHERE data->>'qty'::INT >= 0"),
+                Some(400),
+                "{at}"
+            );
+            assert_eq!(count("SELECT COUNT(*) FROM t, o"), Some(40_000), "{at}");
+        }
+    }
+}
+
+#[test]
 fn tpch_q10_figure5_style() {
     // The Figure 5 query, in SQL, over the combined TPC-H relation.
     let data = jt_data::tpch::generate(jt_data::tpch::TpchConfig {

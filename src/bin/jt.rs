@@ -3,7 +3,7 @@
 //! ```text
 //! jt load  input.ndjson table.jt [--mode tiles|sinew|jsonb|json]
 //!                                 [--tile-size N] [--partition N] [--threads N]
-//!                                 [--strict] [--no-ondemand]
+//!                                 [--strict]
 //! jt sql   table.jt "SELECT data->>'k'::INT, COUNT(*) FROM t GROUP BY 1"
 //!                                 [--skip-corrupt]
 //! jt info  table.jt               [--skip-corrupt]
@@ -16,10 +16,10 @@
 //!
 //! `load` parses newline-delimited JSON, builds the tiles (mining,
 //! reordering, statistics), and persists the relation; malformed lines are
-//! skipped and counted unless `--strict` makes them fatal. Loading uses the
-//! on-demand path by default (structural-index parsing + structure-hash
-//! deduplicated mining, §4.3); `--no-ondemand` selects the eager
-//! tree-building pipeline, which produces a bit-identical relation. `sql` re-opens
+//! skipped and counted unless `--strict` makes them fatal. Loading runs the
+//! on-demand pipeline (structural-index parsing + structure-hash
+//! deduplicated mining, §4.3), the same one that turns `serve`'s `.append`
+//! batches into tiles. `sql` re-opens
 //! the file and runs a query (the table is always named `t`); prefix the
 //! query with `EXPLAIN` for the plan or `EXPLAIN ANALYZE` for the executed
 //! per-operator profile. `info` prints the per-tile extraction summary and
@@ -91,18 +91,9 @@ fn cmd_load(args: &[String]) -> i32 {
     let mut config = TilesConfig::default();
     let mut threads = Relation::default_load_threads();
     let mut strict = false;
-    let mut ondemand = true;
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
-            "--ondemand" => {
-                ondemand = true;
-                i += 1;
-            }
-            "--no-ondemand" => {
-                ondemand = false;
-                i += 1;
-            }
             "--mode" => {
                 config.mode = match args.get(i + 1).map(String::as_str) {
                     Some("tiles") => StorageMode::Tiles,
@@ -142,59 +133,30 @@ fn cmd_load(args: &[String]) -> i32 {
         eprintln!("usage: jt load <input.ndjson> <output.jt> [flags]");
         return 2;
     };
-    let mut rel = if ondemand {
-        let file = match std::fs::File::open(input) {
-            Ok(f) => f,
-            Err(e) => {
-                eprintln!("cannot read {input}: {e}");
-                return 1;
-            }
-        };
-        let (rel, report) = match json_tiles::data::ingest_ndjson_ondemand(file, config, threads) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("cannot load {input}: {e}");
-                return 1;
-            }
-        };
-        for (line, err) in &report.errors {
-            eprintln!("{input}:{line}: {err}");
+    let file = match std::fs::File::open(input) {
+        Ok(f) => f,
+        Err(e) => {
+            eprintln!("cannot read {input}: {e}");
+            return 1;
         }
-        if report.skipped > 0 {
-            if strict {
-                eprintln!("{input}: {} malformed lines (--strict)", report.skipped);
-                return 1;
-            }
-            eprintln!("{input}: skipped {} malformed lines", report.skipped);
-        }
-        rel
-    } else {
-        let file = match std::fs::File::open(input) {
-            Ok(f) => f,
-            Err(e) => {
-                eprintln!("cannot read {input}: {e}");
-                return 1;
-            }
-        };
-        let loaded = match json_tiles::data::from_ndjson_reader(std::io::BufReader::new(file)) {
-            Ok(l) => l,
-            Err(e) => {
-                eprintln!("cannot read {input}: {e}");
-                return 1;
-            }
-        };
-        for (line, err) in &loaded.errors {
-            eprintln!("{input}:{line}: {err}");
-        }
-        if loaded.skipped > 0 {
-            if strict {
-                eprintln!("{input}: {} malformed lines (--strict)", loaded.skipped);
-                return 1;
-            }
-            eprintln!("{input}: skipped {} malformed lines", loaded.skipped);
-        }
-        Relation::load_with_threads(&loaded.docs, config, threads)
     };
+    let (mut rel, report) = match json_tiles::data::ingest_ndjson_ondemand(file, config, threads) {
+        Ok(r) => r,
+        Err(e) => {
+            eprintln!("cannot load {input}: {e}");
+            return 1;
+        }
+    };
+    for (line, err) in &report.errors {
+        eprintln!("{input}:{line}: {err}");
+    }
+    if report.skipped > 0 {
+        if strict {
+            eprintln!("{input}: {} malformed lines (--strict)", report.skipped);
+            return 1;
+        }
+        eprintln!("{input}: skipped {} malformed lines", report.skipped);
+    }
     let m = rel.metrics().clone();
     if let Err(e) = rel.save(output) {
         eprintln!("cannot write {output}: {e}");

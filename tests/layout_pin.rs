@@ -8,22 +8,25 @@
 //! The constants were recorded on the parent commit (2cf312a). After an
 //! *intended* layout change, `JT_BLESS=1 cargo test --test layout_pin --
 //! --nocapture` prints the new ones.
+//!
+//! The append pins do the same for published generations: a bulk load
+//! followed by `Relation::with_appended` batches, in all four modes.
 
 use json_tiles::data::{self, to_ndjson};
 use json_tiles::json::Value;
-use json_tiles::tiles::{crc32c, Relation, TilesConfig};
+use json_tiles::tiles::{crc32c, Relation, StorageMode, TilesConfig};
 
-/// Load `docs` on demand under `config` and return the CRC32C of the image.
-fn image_crc(docs: &[Value], config: TilesConfig) -> u32 {
+/// Load `docs` on demand under `config` and pin the CRC32C of the image.
+fn pin(tag: &str, docs: &[Value], config: TilesConfig, expected: u32) {
     let text = to_ndjson(docs);
     let (rel, report) =
         Relation::try_load_ondemand(text.as_bytes(), config, 2).expect("ondemand load");
     assert_eq!(report.docs, docs.len());
-    crc32c(&rel.to_bytes())
+    pin_crc(tag, &rel, expected);
 }
 
-fn pin(tag: &str, docs: &[Value], config: TilesConfig, expected: u32) {
-    let got = image_crc(docs, config);
+fn pin_crc(tag: &str, rel: &Relation, expected: u32) {
+    let got = crc32c(&rel.to_bytes());
     if std::env::var_os("JT_BLESS").is_some() {
         println!("{tag}: {got:#010x}");
         return;
@@ -101,4 +104,120 @@ fn tpch_shuffled_layout_is_pinned() {
     let docs = d.shuffled(13);
     pin("tpch-shuffled/paper", &docs, paper(), 0x52f9_1a1b);
     pin("tpch-shuffled/small", &docs[..2_500], small(), 0x9043_7103);
+}
+
+/// Small tiles for the append pins: one partition holds 64 × 4 = 256 rows,
+/// so a 250-document batch is one partition and a 600-document one is not.
+fn append_config(mode: StorageMode) -> TilesConfig {
+    TilesConfig {
+        tile_size: 64,
+        partition_size: 4,
+        ..TilesConfig::with_mode(mode)
+    }
+}
+
+/// Documents loaded in bulk before any batch is published.
+const APPEND_BASE: usize = 1_000;
+
+/// An on-demand bulk load of the first [`APPEND_BASE`] documents, then one
+/// published generation per batch size, taking the next documents in order.
+fn publish_batches(docs: &[Value], batches: &[usize], mode: StorageMode) -> Relation {
+    let config = append_config(mode);
+    let text = to_ndjson(&docs[..APPEND_BASE]);
+    let (mut rel, _) = Relation::try_load_ondemand(text.as_bytes(), config, 2).unwrap();
+    let mut at = APPEND_BASE;
+    for &n in batches {
+        let batch = to_ndjson(&docs[at..at + n]);
+        rel = rel.with_appended(batch.as_bytes()).expect("publish");
+        at += n;
+    }
+    rel
+}
+
+/// Per storage mode: the image CRC after publishing batches of 25 and 250
+/// documents, and after publishing one batch of 600.
+type AppendPins = [(StorageMode, u32, u32); 4];
+
+/// Every CRC equals the eager pipeline's publish of documents parsed from
+/// the same lines, except the 600-document one in Tiles mode: the eager
+/// publish reordered a batch as one partition of any size, while the
+/// on-demand one splits it into partitions like a bulk load, whose tiles
+/// it must equal.
+fn pin_appends(tag: &str, docs: &[Value], pins: AppendPins) {
+    for (mode, small, oversize) in pins {
+        let rel = publish_batches(docs, &[25, 250], mode);
+        pin_crc(&format!("{tag}/{mode:?}/25+250"), &rel, small);
+
+        let rel = publish_batches(docs, &[600], mode);
+        pin_crc(&format!("{tag}/{mode:?}/600"), &rel, oversize);
+        // The tiles a publish forms do not depend on the carried ones, so
+        // publishing onto an empty relation must give the bulk load's image.
+        let batch = to_ndjson(&docs[APPEND_BASE..APPEND_BASE + 600]);
+        let published = Relation::new(append_config(mode))
+            .with_appended(batch.as_bytes())
+            .expect("publish");
+        let (bulk, _) =
+            Relation::try_load_ondemand(batch.as_bytes(), append_config(mode), 2).unwrap();
+        assert!(
+            published.to_bytes() == bulk.to_bytes(),
+            "{tag}/{mode:?}: a published batch differs from its bulk load"
+        );
+    }
+}
+
+#[test]
+fn twitter_append_layout_is_pinned() {
+    let d = data::twitter::generate(data::twitter::TwitterConfig {
+        docs: 1_600,
+        evolving: true,
+        seed: 3,
+        ..data::twitter::TwitterConfig::default()
+    });
+    pin_appends(
+        "twitter",
+        &d.docs,
+        [
+            (StorageMode::Tiles, 0xda28_d08d, 0xaa98_9d84),
+            (StorageMode::Sinew, 0x6937_2914, 0xf687_88e6),
+            (StorageMode::Jsonb, 0x633f_15cc, 0x349a_fda2),
+            (StorageMode::JsonText, 0x9dae_0148, 0xc5ec_5eda),
+        ],
+    );
+}
+
+#[test]
+fn hackernews_append_layout_is_pinned() {
+    let docs = data::hackernews::generate(data::hackernews::HnConfig {
+        items: 1_600,
+        seed: 7,
+    });
+    pin_appends(
+        "hackernews",
+        &docs,
+        [
+            (StorageMode::Tiles, 0x5ea0_1c93, 0x594e_acbd),
+            (StorageMode::Sinew, 0xf619_d9e7, 0x3943_49a3),
+            (StorageMode::Jsonb, 0x0d9c_bdc3, 0x9933_97db),
+            (StorageMode::JsonText, 0x6635_a730, 0x03da_f4f1),
+        ],
+    );
+}
+
+#[test]
+fn tpch_shuffled_append_layout_is_pinned() {
+    let docs = data::tpch::generate(data::tpch::TpchConfig {
+        scale: 0.2,
+        seed: 11,
+    })
+    .shuffled(13);
+    pin_appends(
+        "tpch-shuffled",
+        &docs,
+        [
+            (StorageMode::Tiles, 0xc1de_3261, 0xc18b_8855),
+            (StorageMode::Sinew, 0xacdf_f39d, 0x5514_08d0),
+            (StorageMode::Jsonb, 0x9545_c539, 0xc4e4_b375),
+            (StorageMode::JsonText, 0x569c_8b88, 0xaa48_c8e1),
+        ],
+    );
 }

@@ -103,6 +103,55 @@ fn tpch_save_identical_shuffled() {
     check("tpch-shuffled", &text, small(StorageMode::Tiles));
 }
 
+/// Hand-written lines in forms the printer never emits, as a client
+/// sending `.append` might: odd whitespace, `\u` escapes (a surrogate pair,
+/// an escaped key), number spellings, duplicate keys, permuted key order,
+/// and non-ASCII text.
+const CLIENT_TEXT: &str = concat!(
+    "{ \"id\" : 1 ,\t\"name\" :\"plain\" , \"tags\" : [ \"a\" ,\"b\" ] }  \n",
+    r#"{"name":"caf\u00e9","id":2,"tags":[]}"#,
+    "\n",
+    r#"{"id":3,"name":"\ud83d\ude00 grin","score":1.50}"#,
+    "\n",
+    r#"{"\u0069d":4,"score":1E2,"name":"\u0041BC"}"#,
+    "\n",
+    r#"{"id":5,"score":-0,"neg":-0.0,"small":2.5e-3,"big":1.0E+2}"#,
+    "\n",
+    r#"{"id":6,"id":7,"name":"dup","name":"dup2"}"#,
+    "\n",
+    r#"{"tags":["x"],"score":2,"name":"permuted","id":8}"#,
+    "\n",
+    r#"{"id":9,"name":"日本語テキスト","nested":{"k":"ü","k":[1,2.0]}}"#,
+    "\n",
+    r#"{"id":10,"name":"esc \" \\ \/ \b\f\n\r\t","when":"2021-07-01"}"#,
+    "\n",
+    "\t {\"amount\":\"1.50\",\"id\":11,\"huge\":12345678901234567890}\r\n",
+    "{\"id\":\r12,\n",
+    "{\"id\" :12 , \"name\": \"\\u00FC\\u00fC\"}\n",
+);
+
+#[test]
+fn client_text_save_identical_across_modes() {
+    // Enough copies to span several tiles and reordering partitions.
+    let text = CLIENT_TEXT.repeat(30);
+    assert_eq!(
+        from_ndjson(&text).skipped,
+        30,
+        "one malformed line per copy"
+    );
+    for (mode, name) in MODES {
+        let config = small(mode);
+        let eager = Relation::load_with_threads(&from_ndjson(&text).docs, config, 2);
+        let (ondemand, report) =
+            Relation::try_load_ondemand(text.as_bytes(), config, 2).expect("ondemand load");
+        assert_eq!((report.docs, report.skipped), (330, 30), "{name}");
+        assert!(
+            eager.to_bytes() == ondemand.to_bytes(),
+            "client-{name}: persisted images diverge"
+        );
+    }
+}
+
 #[test]
 fn malformed_lines_counted_like_eager() {
     let text = "{\"a\":1}\n\nnot json\n{\"a\":2}\r\n{\"a\":3,\"b\":[1,2]}\n";
