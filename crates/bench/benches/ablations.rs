@@ -4,8 +4,8 @@
 //! ablation.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use jt_bench::datasets;
-use jt_core::{Relation, TilesConfig};
+use jt_bench::{datasets, load_with};
+use jt_core::TilesConfig;
 use jt_query::ExecOptions;
 use jt_workloads::tpch;
 
@@ -22,7 +22,7 @@ fn bench_optimization_levels(c: &mut Criterion) {
         ("Tiles", true, true),
     ];
     for (label, date, skip) in variants {
-        let rel = Relation::load_with_threads(
+        let rel = load_with(
             &d.tpch_combined,
             TilesConfig {
                 date_extraction: date,
@@ -55,7 +55,7 @@ fn bench_reordering_ablation(c: &mut Criterion) {
     group.warm_up_time(std::time::Duration::from_millis(300));
     group.measurement_time(std::time::Duration::from_millis(1500));
     for (label, partition) in [("off", 1usize), ("on", 8)] {
-        let rel = Relation::load_with_threads(
+        let rel = load_with(
             &d.hackernews,
             TilesConfig {
                 tile_size: 256,

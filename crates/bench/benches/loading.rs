@@ -2,8 +2,8 @@
 //! storage mode and per tile/partition configuration.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use jt_bench::datasets;
-use jt_core::{Relation, StorageMode, TilesConfig};
+use jt_bench::{datasets, load_text};
+use jt_core::{StorageMode, TilesConfig};
 
 fn bench_load_modes(c: &mut Criterion) {
     let d = datasets::build(0.1);
@@ -12,6 +12,7 @@ fn bench_load_modes(c: &mut Criterion) {
     group.warm_up_time(std::time::Duration::from_millis(300));
     group.measurement_time(std::time::Duration::from_millis(1500));
     group.throughput(Throughput::Elements(d.tpch_combined.len() as u64));
+    let text = jt_data::to_ndjson(&d.tpch_combined);
     for (mode, name) in [
         (StorageMode::JsonText, "JSON"),
         (StorageMode::Jsonb, "JSONB"),
@@ -19,9 +20,7 @@ fn bench_load_modes(c: &mut Criterion) {
         (StorageMode::Tiles, "Tiles"),
     ] {
         group.bench_with_input(BenchmarkId::new(name, "tpch"), &(), |b, ()| {
-            b.iter(|| {
-                Relation::load_with_threads(&d.tpch_combined, TilesConfig::with_mode(mode), 4)
-            });
+            b.iter(|| load_text(&text, TilesConfig::with_mode(mode), 4));
         });
     }
     group.finish();
@@ -34,13 +33,14 @@ fn bench_load_tile_sizes(c: &mut Criterion) {
     group.warm_up_time(std::time::Duration::from_millis(300));
     group.measurement_time(std::time::Duration::from_millis(1500));
     group.throughput(Throughput::Elements(d.tpch_shuffled.len() as u64));
+    let text = jt_data::to_ndjson(&d.tpch_shuffled);
     for shift in [8u32, 10, 12] {
         for partition in [1usize, 8] {
             let id = format!("2^{shift}/p{partition}");
             group.bench_with_input(BenchmarkId::new("shuffled", id), &(), |b, ()| {
                 b.iter(|| {
-                    Relation::load_with_threads(
-                        &d.tpch_shuffled,
+                    load_text(
+                        &text,
                         TilesConfig {
                             tile_size: 1 << shift,
                             partition_size: partition,

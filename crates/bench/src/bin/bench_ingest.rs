@@ -1,26 +1,26 @@
 //! `bench_ingest` — machine-readable ingestion benchmark snapshot.
 //!
-//! Measures the eager NDJSON pipeline (parse every line into a `Value`
-//! tree, then build tiles) against the on-demand pipeline (structural-index
-//! tape + structure-hash shape dedup + lazy materialization, §4.3) on the
-//! synthetic Twitter / Yelp / HackerNews workloads, plus the mining core in
-//! isolation (per-document transactions vs shape-deduplicated weighted
-//! transactions over the identical input):
+//! Measures the loader (structural-index tape, structure-hash shape dedup
+//! and lazy materialization, §4.3) from NDJSON bytes to a built relation
+//! on the synthetic Twitter / Yelp / HackerNews workloads, plus the mining
+//! core in isolation (per-document transactions vs shape-deduplicated
+//! weighted transactions over the identical input):
 //!
 //! ```text
 //! cargo run --release -p jt-bench --bin bench_ingest -- [out.json] [--scale F] [--threads N]
 //! ```
 //!
-//! Before timing anything, each workload's two relations are persisted and
-//! compared byte-for-byte — a speedup over a *different* answer is
-//! meaningless — and the weighted miner's itemsets must equal the
-//! per-document miner's. The default output path is `BENCH_ingest.json`;
-//! the document is parsed back with `jt_json::parse` before it is written,
-//! so CI can gate on it.
+//! Before timing anything, the weighted miner's itemsets must equal the
+//! per-document miner's — a speedup over a *different* answer is
+//! meaningless. (The loader's own reference is the eager pipeline in
+//! jt-core's `cfg(test)` `eager` module, whose tests compare saved images
+//! byte for byte.) The default output path is `BENCH_ingest.json`; the
+//! document is parsed back with `jt_json::parse` before it is written, so
+//! CI can gate on it.
 
 use jt_core::{collect_leaves, Relation, TilesConfig};
-use jt_data::{from_ndjson, to_ndjson};
-use jt_mining::{dedup_weighted, fpgrowth, mine_weighted, Item, MinerConfig};
+use jt_data::to_ndjson;
+use jt_mining::{fpgrowth, mine_weighted, weighted_by_id, Interner, Item, MinerConfig};
 use std::collections::HashMap;
 use std::time::Instant;
 
@@ -36,23 +36,6 @@ fn median_secs(reps: usize, mut f: impl FnMut()) -> f64 {
         .collect();
     samples.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
     samples[samples.len() / 2]
-}
-
-/// Persist both relations and demand byte identity before any timing.
-fn assert_save_identical(name: &str, eager: &mut Relation, ondemand: &mut Relation) {
-    let dir = std::env::temp_dir().join(format!("jt-bench-ingest-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("scratch dir");
-    let a = dir.join(format!("{name}-eager.jt"));
-    let b = dir.join(format!("{name}-ondemand.jt"));
-    eager.save(&a).expect("save eager");
-    ondemand.save(&b).expect("save ondemand");
-    let ba = std::fs::read(&a).expect("read eager");
-    let bb = std::fs::read(&b).expect("read ondemand");
-    std::fs::remove_dir_all(&dir).ok();
-    if ba != bb {
-        eprintln!("{name}: on-demand relation diverged from the eager oracle");
-        std::process::exit(1);
-    }
 }
 
 /// Per-document mining transactions: intern `(path, type)` leaf pairs in
@@ -142,21 +125,22 @@ fn main() {
         let text = to_ndjson(&w.docs);
         let mb = text.len() as f64 / 1e6;
 
-        // Correctness gates first: byte-identical relation, identical
-        // itemsets from the weighted miner.
-        let loaded = from_ndjson(&text);
-        let mut eager_rel = Relation::load_with_threads(&loaded.docs, config, threads);
-        let (mut od_rel, report) =
-            Relation::try_load_ondemand(text.as_bytes(), config, threads).expect("ondemand load");
-        assert_save_identical(w.name, &mut eager_rel, &mut od_rel);
+        let (_, report) =
+            Relation::try_load_ondemand(text.as_bytes(), config, threads).expect("load");
 
+        // Correctness gate first: identical itemsets from the weighted miner.
         let txns = transactions(&w.docs, &config);
         let mcfg = MinerConfig {
             min_support: ((config.threshold * txns.len() as f64).ceil() as u32).max(1),
             budget: config.budget,
         };
+        // The §4.3 structure dedup, done by the loader's shape phase, not
+        // by the miner: distinct transactions plus one id per document.
+        let mut interner = Interner::default();
+        let ids: Vec<u32> = txns.iter().map(|t| interner.intern(t.clone())).collect();
+        let distinct = interner.into_distinct();
         let per_doc = fpgrowth(&txns, mcfg);
-        let weighted = mine_weighted(&dedup_weighted(&txns), mcfg);
+        let weighted = mine_weighted(&weighted_by_id(&distinct, &ids), mcfg);
         if per_doc != weighted {
             eprintln!(
                 "{}: weighted mining diverged from per-document mining",
@@ -166,16 +150,11 @@ fn main() {
         }
 
         // End-to-end ingestion: NDJSON bytes to a built relation.
-        let eager_secs = median_secs(reps, || {
-            let l = from_ndjson(&text);
-            std::hint::black_box(Relation::load_with_threads(&l.docs, config, threads));
-        });
         let ondemand_secs = median_secs(reps, || {
             std::hint::black_box(
                 Relation::try_load_ondemand(text.as_bytes(), config, threads).expect("load"),
             );
         });
-        let speedup = eager_secs / ondemand_secs.max(1e-12);
 
         // Mining core in isolation: the §4.3 claim is that the mining wall
         // scales with distinct shapes, not documents.
@@ -183,7 +162,7 @@ fn main() {
             std::hint::black_box(fpgrowth(&txns, mcfg));
         });
         let mine_weighted_secs = median_secs(reps, || {
-            std::hint::black_box(mine_weighted(&dedup_weighted(&txns), mcfg));
+            std::hint::black_box(mine_weighted(&weighted_by_id(&distinct, &ids), mcfg));
         });
         let mining_speedup = mine_per_doc_secs / mine_weighted_secs.max(1e-12);
 
@@ -195,12 +174,10 @@ fn main() {
             0.0
         };
         eprintln!(
-            "{}: {:.2} MB, eager {eager_secs:.4}s ({:.1} MB/s) ondemand {ondemand_secs:.4}s \
-             ({:.1} MB/s) = {speedup:.2}x; {distinct} shapes / {docs} docs, mining {:.4}s → \
-             {:.4}s = {mining_speedup:.2}x",
+            "{}: {:.2} MB, ondemand {ondemand_secs:.4}s ({:.1} MB/s); {distinct} shapes / \
+             {docs} docs, mining {:.4}s → {:.4}s = {mining_speedup:.2}x",
             w.name,
             mb,
-            mb / eager_secs,
             mb / ondemand_secs,
             mine_per_doc_secs,
             mine_weighted_secs,
@@ -208,8 +185,7 @@ fn main() {
         case_objs.push(format!(
             concat!(
                 "{{\"name\":\"{}\",\"docs\":{},\"bytes\":{},",
-                "\"eager_secs\":{:.9},\"ondemand_secs\":{:.9},",
-                "\"eager_mb_s\":{:.3},\"ondemand_mb_s\":{:.3},\"ingest_speedup\":{:.3},",
+                "\"ondemand_secs\":{:.9},\"ondemand_mb_s\":{:.3},",
                 "\"distinct_shapes\":{},\"shape_dedup_ratio\":{:.4},",
                 "\"mine_per_doc_secs\":{:.9},\"mine_weighted_secs\":{:.9},",
                 "\"mining_speedup\":{:.3}}}"
@@ -217,11 +193,8 @@ fn main() {
             w.name,
             docs,
             text.len(),
-            eager_secs,
             ondemand_secs,
-            mb / eager_secs,
             mb / ondemand_secs,
-            speedup,
             distinct,
             dedup_ratio,
             mine_per_doc_secs,

@@ -90,7 +90,7 @@ fn main() {
     let reps = 9;
 
     let d = jt_data::tpch::generate(jt_data::tpch::TpchConfig { scale, seed: 7 });
-    let rel = Relation::load_parallel(&d.combined(), TilesConfig::default());
+    let rel = Relation::load(&d.combined(), TilesConfig::default());
 
     // Both plans execute with the runtime greedy pick off so the
     // declaration order written into each physical plan is what runs:

@@ -8,7 +8,9 @@
 //! under test; EXPERIMENTS.md records paper-vs-measured per experiment.
 
 use crate::datasets::build;
-use crate::{exec_opts, fmt_secs, load_mode, print_table, time_median, MODES};
+use crate::{
+    exec_opts, fmt_secs, load_mode, load_text, load_with, print_table, time_median, MODES,
+};
 use jt_core::{Relation, StorageMode, TilesConfig};
 use jt_query::ExecOptions;
 use jt_workloads::{geo_mean, micro, tpch, twitter, yelp};
@@ -288,7 +290,7 @@ pub fn fig10_to_13(cfg: &ExpConfig, which: &str) {
     for tile_size in sweep_tile_sizes(docs.len()) {
         let mut row = vec![format!("2^{}", tile_size.trailing_zeros())];
         for &p in &partitions {
-            let rel = Relation::load_with_threads(
+            let rel = load_with(
                 docs,
                 TilesConfig {
                     tile_size,
@@ -334,14 +336,15 @@ fn run_twitter_geo(rel: &Relation, opts: ExecOptions) -> f64 {
 /// Figure 11: loading time vs tile/partition size (shuffled TPC-H).
 pub fn fig11(cfg: &ExpConfig) {
     let d = build(cfg.scale);
+    let text = jt_data::to_ndjson(&d.tpch_shuffled);
     let partitions = [1usize, 4, 8, 16];
     let mut rows = Vec::new();
     for tile_size in sweep_tile_sizes(d.tpch_shuffled.len()) {
         let mut row = vec![format!("2^{}", tile_size.trailing_zeros())];
         for &p in &partitions {
             let t0 = Instant::now();
-            let _rel = Relation::load_with_threads(
-                &d.tpch_shuffled,
+            let _rel = load_text(
+                &text,
                 TilesConfig {
                     tile_size,
                     partition_size: p,
@@ -379,7 +382,7 @@ pub fn fig14(cfg: &ExpConfig) {
     for (wl, docs, runner) in workloads {
         let mut row = vec![wl.to_string()];
         for (_, date, skip) in variants {
-            let rel = Relation::load_with_threads(
+            let rel = load_with(
                 docs,
                 TilesConfig {
                     date_extraction: date,
@@ -494,7 +497,7 @@ pub fn fig16(cfg: &ExpConfig) {
     ];
     let mut rows = Vec::new();
     for (name, docs) in workloads {
-        let rel = Relation::load_with_threads(docs, TilesConfig::default(), cfg.threads);
+        let rel = load_with(docs, TilesConfig::default(), cfg.threads);
         let m = rel.metrics();
         let phases = [
             m.extract.as_secs_f64(),
@@ -530,9 +533,10 @@ pub fn fig17(cfg: &ExpConfig) {
     let mut rows = Vec::new();
     for (wl, docs) in workloads {
         let mut row = vec![wl.to_string()];
+        let text = jt_data::to_ndjson(docs);
         for &(mode, _) in &MODES {
             let t0 = Instant::now();
-            let rel = load_mode(docs, mode, cfg.threads);
+            let rel = load_text(&text, TilesConfig::with_mode(mode), cfg.threads);
             let secs = t0.elapsed().as_secs_f64();
             row.push(format!("{:.0}k", rel.row_count() as f64 / secs / 1e3));
         }
@@ -709,7 +713,7 @@ pub fn compression_ablation(cfg: &ExpConfig) {
     let type_path = jt_core::KeyPath::keys(&["type"]);
     let mut rows = Vec::new();
     for (label, partition) in [("no reorder", 1usize), ("reorder p=8", 8)] {
-        let rel = Relation::load_with_threads(
+        let rel = load_with(
             &d.hackernews,
             TilesConfig {
                 tile_size: 512,

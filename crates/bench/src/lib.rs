@@ -58,7 +58,21 @@ pub fn time_median<F: FnMut() -> ResultSet>(mut f: F) -> f64 {
 
 /// Load a relation with the default paper parameters and the given mode.
 pub fn load_mode(docs: &[jt_json::Value], mode: StorageMode, threads: usize) -> Relation {
-    Relation::load_with_threads(docs, TilesConfig::with_mode(mode), threads)
+    load_with(docs, TilesConfig::with_mode(mode), threads)
+}
+
+/// Load `docs` under `config` on `threads` workers: printed as NDJSON,
+/// then formed into tiles by the loader.
+pub fn load_with(docs: &[jt_json::Value], config: TilesConfig, threads: usize) -> Relation {
+    load_text(&jt_data::to_ndjson(docs), config, threads)
+}
+
+/// Load NDJSON `text` under `config` on `threads` workers — what the
+/// loading experiments time, with the printing left outside.
+pub fn load_text(text: &str, config: TilesConfig, threads: usize) -> Relation {
+    Relation::try_load_ondemand(text.as_bytes(), config, threads)
+        .expect("generated corpora load")
+        .0
 }
 
 /// Default execution options used by the repro experiments.

@@ -9,7 +9,7 @@
 
 use crate::dict::PathDictionary;
 use crate::path::KeyPath;
-use crate::tile::{ColType, DocLeaves};
+use crate::tile::ColType;
 use crate::TilesConfig;
 use jt_stats::{BloomFilter, HyperLogLog};
 use std::collections::HashMap;
@@ -60,38 +60,11 @@ impl TileHeader {
         }
     }
 
-    /// Assemble a header after extraction, one transaction per document.
-    pub fn build(
-        config: &TilesConfig,
-        columns: Vec<ColumnMeta>,
-        leaves: &[DocLeaves],
-        dict: &PathDictionary,
-        transactions: &[Vec<jt_mining::Item>],
-        sketches: Vec<HyperLogLog>,
-    ) -> Self {
-        // Item frequencies (tuple counts, items already deduped per tuple).
-        let mut item_count = vec![0u32; dict.len()];
-        for t in transactions {
-            for &it in t {
-                item_count[it as usize] += 1;
-            }
-        }
-        Self::assemble(
-            config,
-            columns,
-            dict,
-            item_count,
-            leaves.iter().map(|dl| dl.seen_paths.as_slice()),
-            sketches,
-        )
-    }
-
     /// Assemble a header from weighted transactions (one per distinct
-    /// document shape × occurrence count) — the on-demand ingestion
-    /// variant. `seen_path_lists` yields the seen-path list of each
-    /// distinct shape present in the tile; the Bloom filter only depends
-    /// on the *set* of non-extracted paths, so per-shape lists produce the
-    /// same filter as per-document lists.
+    /// document shape × occurrence count). `seen_path_lists` yields the
+    /// seen-path list of each distinct shape present in the tile; the Bloom
+    /// filter only depends on the *set* of non-extracted paths, so
+    /// per-shape lists produce the same filter as per-document lists.
     pub fn build_weighted<'a>(
         config: &TilesConfig,
         columns: Vec<ColumnMeta>,
@@ -109,9 +82,10 @@ impl TileHeader {
         Self::assemble(config, columns, dict, item_count, seen_path_lists, sketches)
     }
 
-    /// Shared tail of both builders: path frequencies from per-item tuple
-    /// counts, Bloom filter over the non-extracted seen paths, sketch cap.
-    fn assemble<'a>(
+    /// Shared tail of the on-demand builder and the eager test reference:
+    /// path frequencies from per-item tuple counts, Bloom filter over the
+    /// non-extracted seen paths, sketch cap.
+    pub(crate) fn assemble<'a>(
         config: &TilesConfig,
         columns: Vec<ColumnMeta>,
         dict: &PathDictionary,
@@ -207,8 +181,8 @@ impl TileHeader {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tile::{collect_leaves, TileBuilder};
-    use crate::{StorageMode, TilesConfig};
+    use crate::tile::Tile;
+    use crate::{Relation, StorageMode, TilesConfig};
     use jt_json::parse;
 
     fn docs(n: usize) -> Vec<jt_json::Value> {
@@ -223,11 +197,21 @@ mod tests {
             .collect()
     }
 
+    /// `docs` formed into a single tile under `config`.
+    fn one_tile(docs: &[jt_json::Value], config: TilesConfig) -> Tile {
+        let config = TilesConfig {
+            tile_size: docs.len(),
+            partition_size: 1,
+            ..config
+        };
+        let rel = Relation::load(docs, config);
+        assert_eq!(rel.tiles().len(), 1);
+        rel.tiles()[0].clone()
+    }
+
     #[test]
     fn header_indexes_extracted_paths() {
-        let config = TilesConfig::default();
-        let d = docs(100);
-        let tile = TileBuilder::build(&d, &config, None);
+        let tile = one_tile(&docs(100), TilesConfig::default());
         let id_path = KeyPath::keys(&["id"]);
         assert!(
             tile.header.columns_for_path(&id_path).is_some(),
@@ -247,9 +231,7 @@ mod tests {
 
     #[test]
     fn path_frequencies_recorded() {
-        let config = TilesConfig::default();
-        let d = docs(70);
-        let tile = TileBuilder::build(&d, &config, None);
+        let tile = one_tile(&docs(70), TilesConfig::default());
         let id = tile
             .header
             .path_frequencies
@@ -268,9 +250,7 @@ mod tests {
 
     #[test]
     fn empty_mode_headers_have_no_columns() {
-        let config = TilesConfig::with_mode(StorageMode::Jsonb);
-        let d = docs(10);
-        let tile = TileBuilder::build(&d, &config, None);
+        let tile = one_tile(&docs(10), TilesConfig::with_mode(StorageMode::Jsonb));
         assert!(tile.header.columns.is_empty());
         assert!(tile.columns().is_empty());
         assert!(tile.doc_jsonb(0).is_some());
@@ -278,10 +258,7 @@ mod tests {
 
     #[test]
     fn sketches_aligned_with_columns() {
-        let config = TilesConfig::default();
-        let d = docs(64);
-        let leaves: Vec<_> = d.iter().map(|x| collect_leaves(x, &config)).collect();
-        let tile = TileBuilder::build_from_leaves(&d, &leaves, &config, None);
+        let tile = one_tile(&docs(64), TilesConfig::default());
         assert_eq!(tile.header.sketches.len(), tile.header.columns.len());
         // id is unique per row: its sketch estimates ≈ 64 distinct.
         let id_col = tile

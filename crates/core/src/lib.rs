@@ -40,6 +40,8 @@ mod column;
 mod crc32c;
 mod datetime;
 mod dict;
+#[cfg(test)]
+mod eager;
 mod header;
 mod ondemand;
 mod path;
@@ -62,7 +64,7 @@ pub use relation::{LoadError, LoadMetrics, Relation, RelationStats, SectionIo, S
 pub use reorder::reorder_partition;
 pub use tile::{
     collect_leaves, AccessType, BuildTiming, ColType, DocLeaves, JsonbColumn, LeafValue,
-    SkipEvidence, Tile, TileBuilder,
+    SkipEvidence, Tile,
 };
 
 /// Storage modes: the paper's internal competitors (§6, Table 1).

@@ -1,9 +1,10 @@
-//! On-demand bulk ingestion (paper §4.3): structural-index parsing plus
-//! structure-hash deduplicated mining.
+//! Tile formation (paper §4.3): structural-index parsing plus
+//! structure-hash deduplicated mining. Every tile in the system is built
+//! here — bulk loads, `jt serve` publishes, `&[Value]` loads (printed as
+//! NDJSON first), incremental inserts and §4.7 recomputations.
 //!
-//! The eager load path materializes every document as a [`jt_json::Value`]
-//! tree and walks it once per pipeline stage. This module ingests raw NDJSON
-//! bytes instead:
+//! The loader ingests raw NDJSON bytes; no document becomes a
+//! [`jt_json::Value`] tree:
 //!
 //! 1. **Index** — one structural scan per line builds an on-demand tape
 //!    ([`jt_json::OnDemandDoc`]); no tree, no string allocation.
@@ -19,10 +20,9 @@
 //!    raw bytes until the JSONB outlier encoding, which runs straight off
 //!    the tape ([`jt_jsonb::encode_ondemand_into`]).
 //!
-//! The produced relation is **bit-identical** to the eager pipeline on the
-//! same input (same tiles, headers, columns, JSONB buffers, statistics);
-//! the workspace-level `ondemand` tests compare persisted images byte for
-//! byte across workloads and storage modes.
+//! The eager pipeline over document trees survives only as the test
+//! reference (`eager.rs`, compiled under `cfg(test)`), whose tests demand
+//! byte-identical persisted images across workloads and storage modes.
 
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
@@ -45,7 +45,7 @@ use crate::sinew::global_schema_weighted;
 use crate::tile::{push_leaf, BuildTiming, ColType, JsonbColumn, LeafValue, Tile};
 use crate::{StorageMode, TilesConfig};
 
-/// Cap on reported parse errors, matching the eager NDJSON loader.
+/// Cap on reported parse errors, matching `jt_data::from_ndjson`.
 const MAX_REPORTED_ERRORS: usize = 32;
 
 /// Seed for signature hashing (arbitrary, fixed for determinism).
@@ -105,7 +105,7 @@ struct ShapeInfo {
     count: u32,
 }
 
-/// The resolved string extraction tag, mirroring the eager leaf walk:
+/// The resolved string extraction tag, mirroring [`crate::collect_leaves`]:
 /// timestamps first (when enabled), then canonical decimals, else plain.
 fn string_tag(s: &str, config: &TilesConfig) -> u8 {
     if config.date_extraction && parse_timestamp(s).is_some() {
@@ -154,7 +154,7 @@ fn signature(cur: Cursor<'_>, config: &TilesConfig, out: &mut Vec<u8>) {
 }
 
 /// Collect the typed leaves and seen paths of a signature group, mirroring
-/// the eager `collect_leaves` walk (same traversal order, same array
+/// the [`crate::collect_leaves`] walk (same traversal order, same array
 /// truncation, same string typing) but without materializing leaf values.
 fn shape_walk(
     cur: Cursor<'_>,
@@ -268,15 +268,57 @@ impl ShapeRegistry {
     }
 }
 
+/// Group `docs` by signature: one group id per document plus the groups'
+/// shapes. Only the extracting modes use shapes; the others get one empty
+/// group.
+fn group_shapes(docs: &[OnDemandDoc<'_>], config: &TilesConfig) -> (Vec<u32>, Vec<ShapeInfo>) {
+    let mut registry = ShapeRegistry::default();
+    let groups = match config.mode {
+        StorageMode::Sinew | StorageMode::Tiles => {
+            let mut sig_buf = Vec::with_capacity(256);
+            docs.iter()
+                .map(|d| registry.intern(d.root(), config, &mut sig_buf))
+                .collect()
+        }
+        StorageMode::Jsonb | StorageMode::JsonText => vec![0; docs.len()],
+    };
+    (groups, registry.shapes)
+}
+
+/// Re-form one tile from the text of its rows (§4.7 recomputation). The
+/// rows keep their order, and the tile mines its own schema in both
+/// extracting modes.
+pub(crate) fn tile_from_rows(rows: &[String], config: &TilesConfig) -> Tile {
+    let docs: Vec<OnDemandDoc<'_>> = rows
+        .iter()
+        .map(|r| OnDemandDoc::parse(r.as_bytes()).expect("a printed row is valid JSON"))
+        .collect();
+    let (groups, shapes) = group_shapes(&docs, config);
+    let chunk: Vec<usize> = (0..docs.len()).collect();
+    build_tile_ondemand(
+        &docs,
+        &groups,
+        &chunk,
+        &shapes,
+        config,
+        None,
+        &mut BuildTiming::default(),
+    )
+}
+
 impl Relation {
-    /// On-demand bulk load from raw NDJSON bytes.
+    /// Bulk load from raw NDJSON bytes on `threads` workers — the one
+    /// loader every relation is built by. Partitions are split by fixed
+    /// document ranges and merged in order, so the result is the same at
+    /// every thread count.
     ///
-    /// Line handling matches the eager `from_ndjson` loader: lines split on
-    /// `\n` with one trailing `\r` stripped, blank lines skipped silently,
+    /// Line handling matches `jt_data::from_ndjson`: lines split on `\n`
+    /// with one trailing `\r` stripped, blank lines skipped silently,
     /// malformed lines skipped and counted with the first
     /// [`MAX_REPORTED_ERRORS`] reported as `(1-based line, error)`.
-    /// The produced relation is bit-identical to parsing every line eagerly
-    /// and calling [`Relation::try_load_with_threads`].
+    ///
+    /// A panic while forming tiles is captured, with its message, as
+    /// [`LoadError`]; the partial result is dropped.
     pub fn try_load_ondemand(
         data: &[u8],
         config: TilesConfig,
@@ -336,20 +378,10 @@ impl Relation {
         report.docs = docs.len();
         report.index = t_index.elapsed();
 
-        // Phase 2: shape grouping (only the extracting modes use shapes).
+        // Phase 2: shape grouping.
         let t_shape = Instant::now();
-        let mut registry = ShapeRegistry::default();
-        let groups: Vec<u32> = match config.mode {
-            StorageMode::Sinew | StorageMode::Tiles => {
-                let mut sig_buf = Vec::with_capacity(256);
-                docs.iter()
-                    .map(|d| registry.intern(d.root(), &config, &mut sig_buf))
-                    .collect()
-            }
-            _ => vec![0; docs.len()],
-        };
-        report.distinct_shapes = registry
-            .shapes
+        let (groups, shapes) = group_shapes(&docs, &config);
+        report.distinct_shapes = shapes
             .iter()
             .map(|s| shape_hash(&s.items))
             .collect::<HashSet<u64>>()
@@ -359,8 +391,7 @@ impl Relation {
         // Phase 3: Sinew's global schema, one weighted pass over shapes.
         let sinew_schema: Option<Vec<(KeyPath, ColType)>> = match config.mode {
             StorageMode::Sinew => {
-                let shapes_ref: Vec<(&[(KeyPath, ColType)], u32)> = registry
-                    .shapes
+                let shapes_ref: Vec<(&[(KeyPath, ColType)], u32)> = shapes
                     .iter()
                     .map(|s| (s.items.as_slice(), s.count))
                     .collect();
@@ -373,8 +404,8 @@ impl Relation {
             _ => None,
         };
 
-        // Phase 4: tile formation through `build_partitions`, shared with
-        // the eager loader — same boundaries, worker split, merge, metrics.
+        // Phase 4: tile formation, partitions fanned out by
+        // `build_partitions`.
         let t_mat = Instant::now();
         let (tiles, metrics) = build_partitions(docs.len(), &config, threads, start, |r| {
             #[cfg(test)]
@@ -387,7 +418,7 @@ impl Relation {
             build_partition_ondemand(
                 &docs[r.clone()],
                 &groups[r],
-                &registry.shapes,
+                &shapes,
                 &config,
                 sinew_schema.as_deref(),
             )
@@ -420,8 +451,7 @@ impl Relation {
 }
 
 /// Build all tiles of one partition from tapes: optional reordering over
-/// group transactions, then per-tile weighted extraction. Mirrors the eager
-/// `build_partition` (same order decisions, same timing attribution).
+/// group transactions, then per-tile weighted extraction.
 fn build_partition_ondemand(
     docs: &[OnDemandDoc<'_>],
     groups: &[u32],
@@ -436,8 +466,8 @@ fn build_partition_ondemand(
     let order: Vec<usize> = if config.mode == StorageMode::Tiles && config.partition_size > 1 {
         let t0 = Instant::now();
         // Partition-wide dictionary: interning each group's items at its
-        // first occurrence in document order assigns exactly the codes the
-        // eager per-document pass would. Signature groups that differ only
+        // first occurrence in document order assigns exactly the codes a
+        // per-document pass would. Signature groups that differ only
         // in key order or null leaves share a transaction, hence the
         // second interning by content.
         let mut dict = PathDictionary::new();
@@ -509,12 +539,12 @@ struct GroupPlan {
     /// `(leaf ordinal, column index, column type)`, sorted by ordinal.
     needed: Vec<(u32, u32, ColType)>,
     /// Per column: does this shape carry the path with a *different* type
-    /// before (or without) a matching occurrence — the eager loop's
+    /// before (or without) a matching occurrence — the per-document loop's
     /// `other_typed` contribution.
     other: Vec<bool>,
 }
 
-/// Mirror of the eager first-match column loop over a shape's ordered
+/// Mirror of the per-document first-match column loop over a shape's ordered
 /// typed-leaf list.
 fn group_plan(shape: &ShapeInfo, extraction: &[(KeyPath, ColType)]) -> GroupPlan {
     let mut needed = Vec::new();
@@ -620,8 +650,8 @@ fn materialize_walk(
 
 /// Build one tile from tapes: weighted mining over the distinct shapes in
 /// the chunk, group-planned extraction, direct tape→JSONB encoding. The
-/// eager `TileBuilder::build_timed` is the behavioural reference; every
-/// divergence would show up in the byte-identity tests.
+/// eager `TileBuilder::build_timed` of the `cfg(test)` reference is what
+/// the byte-identity tests compare it against.
 #[allow(clippy::too_many_arguments)]
 fn build_tile_ondemand(
     docs: &[OnDemandDoc<'_>],
@@ -878,53 +908,7 @@ mod tests {
     }
 
     #[test]
-    fn ondemand_load_matches_eager_load() {
-        let mut ndjson = String::new();
-        let mut docs = Vec::new();
-        for i in 0..200 {
-            let text = if i % 3 == 0 {
-                format!(
-                    r#"{{"id":{i},"name":"user {i}","ts":"2021-07-0{}"}}"#,
-                    i % 9 + 1
-                )
-            } else {
-                format!(r#"{{"id":{i},"score":{i}.5,"tags":["a","b{i}"]}}"#)
-            };
-            docs.push(jt_json::parse(&text).unwrap());
-            ndjson.push_str(&text);
-            ndjson.push('\n');
-        }
-        for mode in [
-            StorageMode::JsonText,
-            StorageMode::Jsonb,
-            StorageMode::Sinew,
-            StorageMode::Tiles,
-        ] {
-            let config = TilesConfig {
-                mode,
-                tile_size: 16,
-                partition_size: 4,
-                ..TilesConfig::default()
-            };
-            let eager = Relation::load(&docs, config);
-            let (ondemand, report) =
-                Relation::try_load_ondemand(ndjson.as_bytes(), config, 1).unwrap();
-            assert_eq!(report.docs, 200);
-            assert_eq!(report.skipped, 0);
-            assert_eq!(ondemand.row_count(), eager.row_count(), "{mode:?}");
-            assert_eq!(ondemand.tiles().len(), eager.tiles().len(), "{mode:?}");
-            for (a, b) in eager.tiles().iter().zip(ondemand.tiles()) {
-                assert_eq!(a.header.columns, b.header.columns, "{mode:?}");
-                assert_eq!(a.header.path_frequencies, b.header.path_frequencies);
-                for r in 0..a.len() {
-                    assert_eq!(a.doc_value(r), b.doc_value(r), "{mode:?} row {r}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn malformed_and_blank_lines_match_eager_accounting() {
+    fn malformed_and_blank_lines_are_counted() {
         let ndjson = "{\"id\":1}\n\n{\"id\":\n{\"id\":2}\r\n   \n{bad\n{\"id\":3}";
         let (rel, report) =
             Relation::try_load_ondemand(ndjson.as_bytes(), TilesConfig::default(), 1).unwrap();

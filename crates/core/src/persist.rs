@@ -979,7 +979,7 @@ fn decode_v1(r: &mut Reader<'_>) -> Result<Relation> {
         tile_offsets,
         stats,
         metrics: LoadMetrics::default(),
-        pending: Vec::new(),
+        pending: Default::default(),
     })
 }
 
@@ -1083,7 +1083,7 @@ fn decode_v2(r: &mut Reader<'_>, options: &OpenOptions) -> Result<Relation> {
         tile_offsets,
         stats,
         metrics,
-        pending: Vec::new(),
+        pending: Default::default(),
     })
 }
 

@@ -1,11 +1,8 @@
 //! Relations: tile collections with load pipeline, statistics, and updates
 //! (paper §3.2, §4.4, §4.6, §4.7).
 
-use crate::path::KeyPath;
-use crate::reorder::reorder_partition;
-use crate::sinew::global_schema;
-use crate::tile::{collect_leaves, BuildTiming, ColType, DocLeaves, Tile, TileBuilder};
-use crate::{StorageMode, TilesConfig};
+use crate::tile::{BuildTiming, Tile};
+use crate::TilesConfig;
 use jt_json::Value;
 use jt_stats::{FrequencyCounters, HyperLogLog};
 use std::ops::Range;
@@ -191,8 +188,8 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 }
 
 /// Test-only fault injection: a top-level key that makes the partition
-/// holding its document panic in either loader, so the [`LoadError`]
-/// capture is exercised deterministically at every thread count.
+/// holding its document panic in the loader, so the [`LoadError`] capture
+/// is exercised deterministically at every thread count.
 #[cfg(test)]
 pub(crate) const TEST_PANIC_KEY: &str = "__jt_test_loader_panic__";
 
@@ -200,7 +197,7 @@ pub(crate) const TEST_PANIC_KEY: &str = "__jt_test_loader_panic__";
 /// spent reordering.
 pub(crate) type PartitionBuild = (Vec<Tile>, BuildTiming, Duration);
 
-/// The partition fan-out both bulk loaders share. Splits `rows` documents
+/// The partition fan-out of the loader. Splits `rows` documents
 /// into `tile_size × partition_size` ranges, builds each with `build` on up
 /// to `threads` scoped workers ("each thread is dedicated to a disjoint
 /// subset of the data"), and merges the tiles in document order, so the
@@ -288,15 +285,6 @@ pub(crate) fn build_partitions(
     metrics.publish();
     jt_obs::counter_add!("load.tiles_built", tiles.len() as u64);
     Ok((tiles, metrics))
-}
-
-/// Sinew's global schema over `docs`, which it needs before any tile can
-/// be built; `None` in the other modes.
-fn sinew_schema(docs: &[Value], config: &TilesConfig) -> Option<Vec<(KeyPath, ColType)>> {
-    (config.mode == StorageMode::Sinew).then(|| {
-        let leaves: Vec<DocLeaves> = docs.iter().map(|d| collect_leaves(d, config)).collect();
-        global_schema(&leaves, config.threshold)
-    })
 }
 
 /// Relation-level statistics for the optimizer (§4.6): 256 bounded
@@ -411,7 +399,33 @@ pub struct Relation {
     /// scans until a full partition accumulates or [`Relation::flush`]
     /// runs — "the tile is visible to scanners only once it is fully
     /// created" (§3.2).
-    pub(crate) pending: Vec<Value>,
+    pub(crate) pending: Pending,
+}
+
+/// Documents printed as NDJSON lines, each newline-terminated, plus their
+/// count: what [`Relation::insert`] buffers and [`Relation::load`] hands to
+/// the loader.
+#[derive(Debug, Default)]
+pub(crate) struct Pending {
+    ndjson: Vec<u8>,
+    rows: usize,
+}
+
+impl Pending {
+    fn push(&mut self, doc: &Value) {
+        self.ndjson
+            .extend_from_slice(jt_json::to_string(doc).as_bytes());
+        self.ndjson.push(b'\n');
+        self.rows += 1;
+    }
+
+    /// Form the printed documents into tiles on `threads` workers.
+    fn load(&self, config: TilesConfig, threads: usize) -> Relation {
+        let (rel, report) = Relation::try_load_ondemand(&self.ndjson, config, threads)
+            .unwrap_or_else(|e| panic!("{e}"));
+        assert_eq!(report.docs, self.rows, "every printed document re-parses");
+        rel
+    }
 }
 
 impl Relation {
@@ -420,8 +434,8 @@ impl Relation {
     /// reaches the tile size").
     ///
     /// Note: incremental insertion mines each partition as it completes;
-    /// Sinew mode computes its global schema only over the documents seen
-    /// so far at each flush, mirroring Sinew's eager-extraction behaviour.
+    /// Sinew mode computes its global schema only over the documents of
+    /// each flush, mirroring Sinew's eager-extraction behaviour.
     pub fn new(config: TilesConfig) -> Relation {
         Relation {
             config,
@@ -429,7 +443,7 @@ impl Relation {
             tile_offsets: Vec::new(),
             stats: RelationStats::new(&config),
             metrics: LoadMetrics::default(),
-            pending: Vec::new(),
+            pending: Pending::default(),
         }
     }
 
@@ -437,9 +451,9 @@ impl Relation {
     /// accumulated, its tiles are built (mined, reordered, materialized)
     /// and become visible to scans.
     pub fn insert(&mut self, doc: Value) {
-        self.pending.push(doc);
+        self.pending.push(&doc);
         let partition_rows = self.config.tile_size.max(1) * self.config.partition_size.max(1);
-        if self.pending.len() >= partition_rows {
+        if self.pending.rows >= partition_rows {
             self.flush();
         }
     }
@@ -447,88 +461,47 @@ impl Relation {
     /// Materialize all pending documents into tiles immediately (the tail
     /// partition may be smaller than `tile_size × partition_size`).
     pub fn flush(&mut self) {
-        if self.pending.is_empty() {
+        if self.pending.rows == 0 {
             return;
         }
-        let start = Instant::now();
-        let docs = std::mem::take(&mut self.pending);
-        let config = self.config;
-        let sinew = sinew_schema(&docs, &config);
-        // Publishes only this flush's delta; `self.metrics` accumulates.
-        let (tiles, delta) = build_partitions(docs.len(), &config, 1, start, |r| {
-            build_partition(&docs[r], &config, sinew.as_deref())
-        })
-        .unwrap_or_else(|e| panic!("{e}"));
-        for tile in tiles {
+        // Publishes only this flush's load; `self.metrics` accumulates.
+        let flushed = std::mem::take(&mut self.pending).load(self.config, 1);
+        for tile in flushed.tiles {
             let no = self.tiles.len() as u64;
             self.stats.absorb_tile(no, &tile);
             self.tile_offsets.push(self.stats.rows - tile.len());
             self.tiles.push(tile);
         }
-        self.metrics.add(&delta);
+        self.metrics.add(&flushed.metrics);
         self.publish_coverage();
     }
 
     /// Number of inserted-but-not-yet-visible documents.
     pub fn pending_rows(&self) -> usize {
-        self.pending.len()
-    }
-    /// Bulk-load documents single-threaded.
-    pub fn load(docs: &[Value], config: TilesConfig) -> Relation {
-        Self::load_with_threads(docs, config, 1)
+        self.pending.rows
     }
 
-    /// Worker threads [`Relation::load_parallel`] uses: the machine's
-    /// available parallelism, clamped to 16 (the same default the query
-    /// executor's `ExecOptions` applies).
+    /// Bulk-load in-memory documents: they are printed as NDJSON and
+    /// loaded by [`Relation::try_load_ondemand`] on
+    /// [`Relation::default_load_threads`] workers, which gives the same
+    /// relation at every thread count. Callers that choose the thread
+    /// count, or must survive a loader failure, call
+    /// [`Relation::try_load_ondemand`] themselves.
+    ///
+    /// Non-finite floats, which JSON cannot spell, load as `null`.
+    pub fn load(docs: &[Value], config: TilesConfig) -> Relation {
+        let mut batch = Pending::default();
+        for d in docs {
+            batch.push(d);
+        }
+        batch.load(config, Self::default_load_threads())
+    }
+
+    /// Worker threads [`Relation::load`] uses: the machine's available
+    /// parallelism, clamped to 16 (the same default the query executor's
+    /// `ExecOptions` applies).
     pub fn default_load_threads() -> usize {
         std::thread::available_parallelism().map_or(1, |n| n.get().min(16))
-    }
-
-    /// Bulk-load with [`Relation::default_load_threads`] worker threads —
-    /// the entry point real ingestion paths (the `jt` CLI, tests, benches)
-    /// should use so tile formation parallelizes end-to-end. Results are
-    /// identical to [`Relation::load`] at every thread count: partitions
-    /// are split by fixed document ranges and merged in order.
-    pub fn load_parallel(docs: &[Value], config: TilesConfig) -> Relation {
-        Self::load_with_threads(docs, config, Self::default_load_threads())
-    }
-
-    /// Bulk-load with `threads` worker threads. Partitions are independent
-    /// ("each thread is dedicated to a disjoint subset of the data"), so
-    /// loading parallelizes with no coordination beyond the final merge.
-    ///
-    /// A loader-thread panic propagates as a panic with the original
-    /// payload's message; services that must survive malformed input
-    /// should call [`Relation::try_load_with_threads`] instead.
-    pub fn load_with_threads(docs: &[Value], config: TilesConfig, threads: usize) -> Relation {
-        match Self::try_load_with_threads(docs, config, threads) {
-            Ok(rel) => rel,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible [`Relation::load_with_threads`]: a panic on any loader
-    /// thread is captured (payload message included) and surfaced as
-    /// [`LoadError`] instead of tearing down the caller. The partially
-    /// built partitions are dropped — a load either fully succeeds or
-    /// yields no relation.
-    pub fn try_load_with_threads(
-        docs: &[Value],
-        config: TilesConfig,
-        threads: usize,
-    ) -> Result<Relation, LoadError> {
-        let start = Instant::now();
-        let sinew = sinew_schema(docs, &config);
-        let (tiles, metrics) = build_partitions(docs.len(), &config, threads, start, |r| {
-            let p = &docs[r];
-            #[cfg(test)]
-            if p.iter().any(|d| d.get(TEST_PANIC_KEY).is_some()) {
-                panic!("injected loader fault");
-            }
-            build_partition(p, &config, sinew.as_deref())
-        })?;
-        Ok(Relation::from_tiles(config, tiles, metrics))
     }
 
     /// The constructor behind every load and publish: statistics and row
@@ -547,7 +520,7 @@ impl Relation {
             tile_offsets,
             stats,
             metrics,
-            pending: Vec::new(),
+            pending: Pending::default(),
         };
         rel.publish_coverage();
         rel
@@ -677,84 +650,10 @@ impl Relation {
     }
 }
 
-/// Build all tiles of one partition: optional reordering, then per-tile
-/// extraction. Returns the tiles, the accumulated build timing, and the
-/// time spent reordering.
-fn build_partition(
-    docs: &[Value],
-    config: &TilesConfig,
-    sinew_schema: Option<&[(KeyPath, ColType)]>,
-) -> PartitionBuild {
-    let mut timing = BuildTiming::default();
-    let mut reorder_time = Duration::ZERO;
-    let tile_size = config.tile_size.max(1);
-
-    // Leaf collection is shared by reordering and extraction.
-    let leaves: Vec<DocLeaves> = docs.iter().map(|d| collect_leaves(d, config)).collect();
-
-    let order: Vec<usize> = if config.mode == StorageMode::Tiles && config.partition_size > 1 {
-        let t0 = Instant::now();
-        // Partition-wide dictionary for the reorder transactions, which
-        // are deduplicated here, once, into distinct shapes plus one id per
-        // document.
-        let mut dict = crate::dict::PathDictionary::new();
-        let mut distinct = jt_mining::Interner::default();
-        let shape_of: Vec<u32> = leaves
-            .iter()
-            .map(|dl| {
-                let mut t: Vec<jt_mining::Item> = dl
-                    .leaves
-                    .iter()
-                    .map(|(p, l)| dict.intern(p, l.col_type()))
-                    .collect();
-                t.sort_unstable();
-                t.dedup();
-                distinct.intern(t)
-            })
-            .collect();
-        let order = reorder_partition(
-            &distinct.into_distinct(),
-            &shape_of,
-            tile_size,
-            config.threshold,
-            config.partition_size,
-            config.budget,
-        );
-        reorder_time = t0.elapsed();
-        order
-    } else {
-        (0..docs.len()).collect()
-    };
-
-    let mut tiles = Vec::with_capacity(docs.len().div_ceil(tile_size));
-    for chunk in order.chunks(tile_size) {
-        let tile_docs: Vec<Value> = chunk.iter().map(|&i| docs[i].clone()).collect();
-        let tile_leaves: Vec<DocLeaves> = chunk
-            .iter()
-            .map(|&i| {
-                // Leaves are cheap to move but DocLeaves is not Copy; clone
-                // the per-doc vectors (paths are small).
-                DocLeaves {
-                    leaves: leaves[i].leaves.clone(),
-                    seen_paths: leaves[i].seen_paths.clone(),
-                }
-            })
-            .collect();
-        tiles.push(TileBuilder::build_timed(
-            &tile_docs,
-            &tile_leaves,
-            config,
-            sinew_schema,
-            &mut timing,
-        ));
-    }
-    (tiles, timing, reorder_time)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::TilesConfig;
+    use crate::{StorageMode, TilesConfig};
 
     fn plain_docs(n: usize) -> Vec<Value> {
         (0..n)
@@ -773,7 +672,7 @@ mod tests {
     }
 
     #[test]
-    fn loader_panic_is_captured_as_load_error_by_both_loaders() {
+    fn loader_panic_is_captured_as_load_error() {
         let config = TilesConfig {
             tile_size: 8,
             partition_size: 1,
@@ -786,17 +685,13 @@ mod tests {
         let ndjson: String = docs.iter().map(|d| jt_json::to_string(d) + "\n").collect();
 
         for threads in [1, 4] {
-            let eager = Relation::try_load_with_threads(&docs, config, threads).map(|_| ());
-            let ondemand =
-                Relation::try_load_ondemand(ndjson.as_bytes(), config, threads).map(|_| ());
-            for (loader, result) in [("eager", eager), ("ondemand", ondemand)] {
-                let err = result.expect_err("poisoned partition must fail the load");
-                assert!(
-                    err.to_string().contains("injected loader fault"),
-                    "{loader}: payload message lost at threads={threads}: {err}"
-                );
-                assert_eq!(err.partition, 2, "{loader} at threads={threads}");
-            }
+            let err = Relation::try_load_ondemand(ndjson.as_bytes(), config, threads)
+                .expect_err("poisoned partition must fail the load");
+            assert!(
+                err.to_string().contains("injected loader fault"),
+                "payload message lost at threads={threads}: {err}"
+            );
+            assert_eq!(err.partition, 2, "threads={threads}");
         }
     }
 
@@ -811,7 +706,7 @@ mod tests {
         for threads in [1, 2, 3, 8] {
             let (tiles, metrics) = build_partitions(21, &config, threads, Instant::now(), |r| {
                 let docs = plain_docs(r.end)[r].to_vec();
-                build_partition(&docs, &config, None)
+                crate::eager::build_partition(&docs, &config, None)
             })
             .unwrap();
             let sizes: Vec<usize> = tiles.iter().map(Tile::len).collect();
@@ -824,18 +719,5 @@ mod tests {
             assert_eq!(first_ids, want, "threads={threads}");
             assert_eq!((metrics.rows, metrics.partitions), (21, 3));
         }
-    }
-
-    #[test]
-    fn try_load_matches_infallible_load_on_clean_input() {
-        let docs = plain_docs(50);
-        let config = TilesConfig {
-            tile_size: 8,
-            partition_size: 2,
-            ..TilesConfig::default()
-        };
-        let rel = Relation::try_load_with_threads(&docs, config, 4).expect("clean load succeeds");
-        assert_eq!(rel.row_count(), Relation::load(&docs, config).row_count());
-        assert_eq!(rel.row_count(), 50);
     }
 }

@@ -257,7 +257,7 @@ fn intersection_size(a: &[Item], b: &[Item]) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use jt_mining::{dedup_weighted, is_subset, Interner, Itemset};
+    use jt_mining::{is_subset, weighted_by_id, Interner, Itemset};
     use proptest::prelude::*;
     use std::collections::HashMap;
 
@@ -322,10 +322,11 @@ mod tests {
 
         let reduced = threshold / partition_size as f64;
         let mut candidates: Vec<Vec<Item>> = Vec::new();
-        for chunk in transactions.chunks(tile_size) {
+        let (distinct, shape_of) = intern(transactions);
+        for chunk in shape_of.chunks(tile_size) {
             let min_support = ((reduced * chunk.len() as f64).ceil() as u32).max(1);
             for set in mine_weighted(
-                &dedup_weighted(chunk),
+                &weighted_by_id(&distinct, chunk),
                 MinerConfig {
                     min_support,
                     budget,

@@ -7,38 +7,14 @@
 //! below the global threshold falls back to binary access everywhere.
 
 use crate::path::KeyPath;
-use crate::tile::{ColType, DocLeaves};
+use crate::tile::ColType;
 use std::collections::HashMap;
 
 /// Compute the global extraction schema: typed paths whose table frequency
-/// reaches `threshold` (Sinew's original 60%).
-pub fn global_schema(leaves: &[DocLeaves], threshold: f64) -> Vec<(KeyPath, ColType)> {
-    let mut counts: HashMap<(KeyPath, ColType), u32> = HashMap::new();
-    for dl in leaves {
-        let mut seen: Vec<(&KeyPath, ColType)> = Vec::new();
-        for (p, l) in &dl.leaves {
-            let t = l.col_type();
-            if !seen.contains(&(p, t)) {
-                seen.push((p, t));
-                *counts.entry((p.clone(), t)).or_insert(0) += 1;
-            }
-        }
-    }
-    let min = (threshold * leaves.len() as f64).ceil() as u32;
-    let mut schema: Vec<(KeyPath, ColType)> = counts
-        .into_iter()
-        .filter(|(_, c)| *c >= min.max(1))
-        .map(|(k, _)| k)
-        .collect();
-    schema.sort();
-    schema
-}
-
-/// [`global_schema`] over deduplicated document shapes: `shapes` pairs each
-/// distinct shape's typed leaves (traversal order, duplicates possible) with
-/// its document count, `total` is the table's document count. Produces the
-/// same schema as running [`global_schema`] over the expanded documents —
-/// per-shape dedup plus weighted counting is exactly per-document counting.
+/// reaches `threshold` (Sinew's original 60%). `shapes` pairs each distinct
+/// document shape's typed leaves (traversal order, duplicates possible) with
+/// its document count, `total` is the table's document count. Per-shape
+/// dedup plus weighted counting is exactly per-document counting.
 pub fn global_schema_weighted(
     shapes: &[(&[(KeyPath, ColType)], u32)],
     total: usize,
@@ -71,24 +47,34 @@ mod tests {
     use crate::TilesConfig;
     use jt_json::parse;
 
-    fn leaves_of(docs: &[&str]) -> Vec<DocLeaves> {
+    /// The 60% schema over `docs`, one shape per document.
+    fn schema_of(docs: &[&str]) -> Vec<(KeyPath, ColType)> {
         let cfg = TilesConfig::default();
-        docs.iter()
-            .map(|d| collect_leaves(&parse(d).unwrap(), &cfg))
-            .collect()
+        let items: Vec<Vec<(KeyPath, ColType)>> = docs
+            .iter()
+            .map(|d| {
+                collect_leaves(&parse(d).unwrap(), &cfg)
+                    .leaves
+                    .into_iter()
+                    .map(|(p, l)| (p, l.col_type()))
+                    .collect()
+            })
+            .collect();
+        let shapes: Vec<(&[(KeyPath, ColType)], u32)> =
+            items.iter().map(|i| (i.as_slice(), 1)).collect();
+        global_schema_weighted(&shapes, docs.len(), 0.6)
     }
 
     #[test]
     fn global_threshold_is_table_wide() {
         // "id" in all 5 docs, "geo" in 2/5 (40% < 60%).
-        let l = leaves_of(&[
+        let schema = schema_of(&[
             r#"{"id":1}"#,
             r#"{"id":2}"#,
             r#"{"id":3,"geo":1.5}"#,
             r#"{"id":4,"geo":2.5}"#,
             r#"{"id":5}"#,
         ]);
-        let schema = global_schema(&l, 0.6);
         assert_eq!(schema.len(), 1);
         assert_eq!(schema[0].0, KeyPath::keys(&["id"]));
         assert_eq!(schema[0].1, ColType::Int);
@@ -108,7 +94,7 @@ mod tests {
             })
             .collect();
         let refs: Vec<&str> = docs.iter().map(String::as_str).collect();
-        let schema = global_schema(&leaves_of(&refs), 0.6);
+        let schema = schema_of(&refs);
         assert!(schema.is_empty(), "50% < 60% everywhere: {schema:?}");
     }
 
@@ -125,39 +111,12 @@ mod tests {
             })
             .collect();
         let refs: Vec<&str> = docs.iter().map(String::as_str).collect();
-        let schema = global_schema(&leaves_of(&refs), 0.6);
+        let schema = schema_of(&refs);
         assert!(schema.is_empty(), "{schema:?}");
     }
 
     #[test]
     fn empty_input() {
-        assert!(global_schema(&[], 0.6).is_empty());
-    }
-
-    #[test]
-    fn weighted_matches_per_document() {
-        // 7×{id,geo}, 3×{id}: weighted over the two shapes must equal the
-        // per-document pass over the expanded table.
-        let l = leaves_of(&[r#"{"id":1,"geo":1.5}"#, r#"{"id":2}"#]);
-        let a: Vec<(KeyPath, ColType)> = l[0]
-            .leaves
-            .iter()
-            .map(|(p, v)| (p.clone(), v.col_type()))
-            .collect();
-        let b: Vec<(KeyPath, ColType)> = l[1]
-            .leaves
-            .iter()
-            .map(|(p, v)| (p.clone(), v.col_type()))
-            .collect();
-        let mut expanded = Vec::new();
-        for _ in 0..7 {
-            expanded.push(l[0].clone());
-        }
-        for _ in 0..3 {
-            expanded.push(l[1].clone());
-        }
-        let weighted = global_schema_weighted(&[(a.as_slice(), 7), (b.as_slice(), 3)], 10, 0.6);
-        assert_eq!(weighted, global_schema(&expanded, 0.6));
-        assert_eq!(weighted.len(), 2, "both paths at ≥60%: {weighted:?}");
+        assert!(schema_of(&[]).is_empty());
     }
 }

@@ -5,23 +5,21 @@
 //! (always present for the binary modes, serving outlier accesses), and the
 //! extracted typed column chunks with their [`TileHeader`].
 //!
-//! [`TileBuilder::build`] runs the §3.1 pipeline on one chunk:
-//!
-//! 1. collect all typed leaf key paths of every tuple,
-//! 2. mine frequent itemsets over the dictionary-encoded paths,
-//! 3. extract the union of the maximal itemsets as columns.
+//! Tiles are formed from structural-index tapes by the on-demand loader
+//! (`ondemand.rs`), which runs the §3.1 pipeline on each chunk: collect the
+//! typed leaf key paths of every tuple, mine frequent itemsets over the
+//! dictionary-encoded paths, and extract the union of the maximal itemsets
+//! as columns. [`collect_leaves`] is the same walk over a document tree;
+//! §4.7 updates use it to write one row in place.
 
 use crate::column::{column_serves, ColumnChunk};
 pub use crate::column::{AccessType, ColType};
 use crate::datetime::{parse_timestamp, Timestamp};
-use crate::dict::PathDictionary;
-use crate::header::{ColumnMeta, TileHeader};
+use crate::header::TileHeader;
 use crate::path::KeyPath;
 use crate::TilesConfig;
 use jt_json::{Number, Value};
 use jt_jsonb::{JsonbRef, NumericString};
-use jt_mining::{dedup_weighted, maximal, mine_weighted, MinerConfig};
-use jt_stats::HyperLogLog;
 
 /// A typed scalar leaf observed in a document.
 #[derive(Debug, Clone, PartialEq)]
@@ -153,21 +151,6 @@ pub struct JsonbColumn {
 }
 
 impl JsonbColumn {
-    /// Build from documents.
-    pub fn from_docs(docs: &[Value]) -> Self {
-        let mut col = JsonbColumn {
-            offsets: Vec::with_capacity(docs.len() + 1),
-            buffer: Vec::with_capacity(docs.len() * 64),
-            moved: Vec::new(),
-        };
-        col.offsets.push(0);
-        for d in docs {
-            jt_jsonb::encode_into(d, &mut col.buffer);
-            col.offsets.push(col.buffer.len() as u32);
-        }
-        col
-    }
-
     /// Number of documents.
     pub fn len(&self) -> usize {
         self.offsets.len().saturating_sub(1)
@@ -448,10 +431,15 @@ impl Tile {
         self.outliers * 2 > self.rows
     }
 
-    /// Rebuild the tile from its current documents (after heavy updates).
+    /// Rebuild the tile from its current documents (after heavy updates):
+    /// the rows keep their order and are formed into one tile by the
+    /// on-demand builder, which mines the tile's own schema in both
+    /// extracting modes.
     pub fn recompute(&mut self, config: &TilesConfig) {
-        let docs: Vec<Value> = (0..self.rows).map(|i| self.doc_value(i)).collect();
-        *self = TileBuilder::build(&docs, config, None);
+        let rows: Vec<String> = (0..self.rows)
+            .map(|i| jt_json::to_string(&self.doc_value(i)))
+            .collect();
+        *self = crate::ondemand::tile_from_rows(&rows, config);
     }
 
     /// Heap bytes of the extracted columns plus header (Table 6 "+Tiles").
@@ -520,182 +508,6 @@ impl BuildTiming {
         self.mining += other.mining;
         self.extract += other.extract;
         self.write_jsonb += other.write_jsonb;
-    }
-}
-
-/// Builds tiles from document chunks.
-pub struct TileBuilder;
-
-impl TileBuilder {
-    /// Build one tile under `config`.
-    ///
-    /// `extraction_override` preempts per-tile mining with a fixed schema —
-    /// used by the Sinew mode (global schema) and by reordered partitions
-    /// (whose final itemsets are re-mined after redistribution).
-    pub fn build(
-        docs: &[Value],
-        config: &TilesConfig,
-        extraction_override: Option<&[(KeyPath, ColType)]>,
-    ) -> Tile {
-        let leaves: Vec<DocLeaves> = docs.iter().map(|d| collect_leaves(d, config)).collect();
-        Self::build_from_leaves(docs, &leaves, config, extraction_override)
-    }
-
-    /// Like [`TileBuilder::build`], reusing precomputed leaves.
-    pub fn build_from_leaves(
-        docs: &[Value],
-        leaves: &[DocLeaves],
-        config: &TilesConfig,
-        extraction_override: Option<&[(KeyPath, ColType)]>,
-    ) -> Tile {
-        Self::build_timed(
-            docs,
-            leaves,
-            config,
-            extraction_override,
-            &mut BuildTiming::default(),
-        )
-    }
-
-    /// Full build with phase timing collection.
-    pub fn build_timed(
-        docs: &[Value],
-        leaves: &[DocLeaves],
-        config: &TilesConfig,
-        extraction_override: Option<&[(KeyPath, ColType)]>,
-        timing: &mut BuildTiming,
-    ) -> Tile {
-        match config.mode {
-            crate::StorageMode::JsonText => {
-                return Tile {
-                    header: TileHeader::empty(config),
-                    columns: Vec::new(),
-                    jsonb: None,
-                    text: Some(docs.iter().map(jt_json::to_string).collect()),
-                    rows: docs.len(),
-                    outliers: 0,
-                };
-            }
-            crate::StorageMode::Jsonb => {
-                let t0 = std::time::Instant::now();
-                let jsonb = JsonbColumn::from_docs(docs);
-                timing.write_jsonb += t0.elapsed();
-                return Tile {
-                    header: TileHeader::empty(config),
-                    columns: Vec::new(),
-                    jsonb: Some(jsonb),
-                    text: None,
-                    rows: docs.len(),
-                    outliers: 0,
-                };
-            }
-            crate::StorageMode::Sinew | crate::StorageMode::Tiles => {}
-        }
-
-        // Dictionary + transactions (§3.1 steps 1–2).
-        let mut dict = PathDictionary::new();
-        let mut transactions: Vec<Vec<jt_mining::Item>> = Vec::with_capacity(docs.len());
-        for dl in leaves {
-            let mut t: Vec<jt_mining::Item> = dl
-                .leaves
-                .iter()
-                .map(|(p, l)| dict.intern(p, l.col_type()))
-                .collect();
-            t.sort_unstable();
-            t.dedup();
-            transactions.push(t);
-        }
-
-        // Extraction set: mined locally, or imposed from outside.
-        let mine_start = std::time::Instant::now();
-        let extraction: Vec<(KeyPath, ColType)> = match extraction_override {
-            Some(cols) => cols.to_vec(),
-            None => {
-                // One FPGrowth run per *distinct* transaction (§4.3
-                // structure dedup) — bit-identical to mining per document
-                // (jt-mining's weighted-equivalence tests), at a cost
-                // proportional to the number of distinct shapes.
-                let sets = mine_weighted(
-                    &dedup_weighted(&transactions),
-                    MinerConfig {
-                        min_support: config.min_support(docs.len()),
-                        budget: config.budget,
-                    },
-                );
-                let mut union: Vec<(KeyPath, ColType)> = Vec::new();
-                for set in maximal(sets) {
-                    for item in set.items {
-                        let (p, t) = dict.resolve(item).clone();
-                        if !union.contains(&(p.clone(), t)) {
-                            union.push((p, t));
-                        }
-                    }
-                }
-                union.sort();
-                union
-            }
-        };
-        timing.mining += mine_start.elapsed();
-
-        // Materialize columns (§3.1 step 3) and collect header metadata.
-        let extract_start = std::time::Instant::now();
-        let mut columns: Vec<ColumnChunk> = extraction
-            .iter()
-            .map(|(_, t)| ColumnChunk::builder(*t))
-            .collect();
-        let mut other_typed = vec![false; extraction.len()];
-        let mut sketches: Vec<HyperLogLog> =
-            extraction.iter().map(|_| HyperLogLog::default()).collect();
-        for dl in leaves {
-            for (ci, (path, ty)) in extraction.iter().enumerate() {
-                let mut found = None;
-                for (p, l) in &dl.leaves {
-                    if p == path {
-                        if l.col_type() == *ty {
-                            found = Some(l);
-                            break;
-                        }
-                        other_typed[ci] = true;
-                    }
-                }
-                match found {
-                    Some(l) => {
-                        push_leaf(&mut columns[ci], l);
-                        if ci < config.hll_slots {
-                            sketches[ci].insert(&l.sketch_bytes());
-                        }
-                    }
-                    None => columns[ci].push_null(),
-                }
-            }
-        }
-
-        let metas: Vec<ColumnMeta> = extraction
-            .iter()
-            .enumerate()
-            .map(|(ci, (path, ty))| ColumnMeta {
-                path: path.clone(),
-                col_type: *ty,
-                nullable: columns[ci].null_count() > 0,
-                other_typed: other_typed[ci],
-            })
-            .collect();
-
-        let header = TileHeader::build(config, metas, leaves, &dict, &transactions, sketches);
-        timing.extract += extract_start.elapsed();
-
-        let t0 = std::time::Instant::now();
-        let jsonb = JsonbColumn::from_docs(docs);
-        timing.write_jsonb += t0.elapsed();
-
-        Tile {
-            header,
-            columns,
-            jsonb: Some(jsonb),
-            text: None,
-            rows: docs.len(),
-            outliers: 0,
-        }
     }
 }
 

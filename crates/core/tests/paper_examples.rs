@@ -1,7 +1,7 @@
 //! Tests that replay the paper's own worked examples: the Figure 2 tweet
 //! tiles, the §3.1 itemset walk-through, and the §3.5 array handling.
 
-use jt_core::{collect_leaves, AccessType, ColType, KeyPath, Relation, TileBuilder, TilesConfig};
+use jt_core::{collect_leaves, AccessType, ColType, KeyPath, Relation, TilesConfig};
 use jt_json::Value;
 
 fn figure2_docs() -> Vec<Value> {
@@ -152,7 +152,9 @@ fn section_3_5_leading_array_elements() {
         partition_size: 1,
         ..TilesConfig::default()
     };
-    let tile = TileBuilder::build(&docs, &config, None);
+    let rel = Relation::load(&docs, config);
+    assert_eq!(rel.tiles().len(), 1);
+    let tile = &rel.tiles()[0];
     let t0 = KeyPath::keys(&["tags"]).index(0);
     let t2 = KeyPath::keys(&["tags"]).index(2);
     assert!(

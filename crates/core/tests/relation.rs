@@ -158,8 +158,9 @@ fn statistics_reflect_data() {
 fn parallel_load_equals_sequential() {
     let docs = tweets(2000);
     let cfg = small_config(StorageMode::Tiles);
-    let seq = Relation::load(&docs, cfg);
-    let par = Relation::load_with_threads(&docs, cfg, 4);
+    let text = jt_data::to_ndjson(&docs);
+    let (seq, _) = Relation::try_load_ondemand(text.as_bytes(), cfg, 1).unwrap();
+    let (par, _) = Relation::try_load_ondemand(text.as_bytes(), cfg, 4).unwrap();
     assert_eq!(seq.row_count(), par.row_count());
     assert_eq!(seq.tiles().len(), par.tiles().len());
     for (a, b) in seq.tiles().iter().zip(par.tiles()) {

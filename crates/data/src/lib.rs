@@ -88,7 +88,7 @@ pub fn from_ndjson(text: &str) -> NdjsonLoad {
 /// On-demand NDJSON ingestion (paper §4.3): read the feed's raw bytes and
 /// hand them to [`jt_core::Relation::try_load_ondemand`] — structural-index
 /// parsing, structure-hash shape dedup, weighted mining, lazy extraction.
-/// Produces a relation bit-identical to `from_ndjson` + eager loading, and
+/// Produces a relation bit-identical to `from_ndjson` + `Relation::load`, and
 /// an [`jt_core::IngestReport`] with per-phase wall times and the skipped
 /// line diagnostics (same 1-based numbering as [`NdjsonLoad::errors`]).
 pub fn ingest_ndjson_ondemand<R: std::io::Read>(

@@ -2,7 +2,9 @@
 //!
 //! The compact printer is the canonical textual form used by the JSON
 //! baseline storage mode and by round-trip tests: `parse(to_string(v)) == v`
-//! for every value (floats are printed with enough digits to round-trip).
+//! for every value (floats are printed with enough digits to round-trip),
+//! except non-finite floats, which JSON cannot spell and which print as
+//! `null`.
 
 use crate::value::{Number, Value};
 
@@ -58,6 +60,9 @@ fn write_number(out: &mut String, n: Number) {
             let mut buf = itoa_buf();
             out.push_str(format_i64(&mut buf, i));
         }
+        // JSON has no NaN or infinity; print them as `null`, as ECMAScript
+        // `JSON.stringify` does, so printed text always re-parses.
+        Number::Float(f) if !f.is_finite() => out.push_str("null"),
         Number::Float(f) => {
             // Shortest representation that round-trips; force a ".0" marker
             // when the result would look integral, so the value re-parses as
@@ -208,6 +213,15 @@ mod tests {
         let s = to_string(&v);
         assert_eq!(s, "3.0");
         assert_eq!(parse(&s).unwrap(), v);
+    }
+
+    #[test]
+    fn non_finite_floats_print_as_null() {
+        for f in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let v = Value::Array(vec![Value::float(f)]);
+            assert_eq!(to_string(&v), "[null]");
+            assert_eq!(to_string_pretty(&v), "[\n  null\n]");
+        }
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! both passes derive the same normalized member order (keys sorted, last
 //! duplicate wins), the same numeric-string detection, and the same
 //! int/float narrowing. The differential tests at the bottom and the
-//! workspace-level eager-vs-ondemand load tests enforce this.
+//! eager-vs-ondemand load tests of jt-core enforce this.
 
 use std::borrow::Cow;
 

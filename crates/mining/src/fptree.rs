@@ -402,23 +402,19 @@ mod tests {
             let t: Vec<Vec<Item>> = (0..40)
                 .map(|_| shapes[(next() % n_shapes as u64) as usize].clone())
                 .collect();
+            let mut interner = crate::Interner::default();
+            let ids: Vec<u32> = t.iter().map(|t| interner.intern(t.clone())).collect();
+            let distinct = interner.into_distinct();
             for budget in [1u64 << 20, 25, 7] {
                 let cfg = MinerConfig {
                     min_support: 2 + (trial % 4),
                     budget,
                 };
                 let per_doc = fpgrowth(&t, cfg);
-                let weighted = mine_weighted(&crate::dedup_weighted(&t), cfg);
+                let weighted = mine_weighted(&crate::weighted_by_id(&distinct, &ids), cfg);
                 assert_eq!(per_doc, weighted, "trial {trial} budget {budget}");
             }
         }
-    }
-
-    #[test]
-    fn dedup_weighted_preserves_first_occurrence_order() {
-        let t = tx(&[&[1, 2], &[3], &[1, 2], &[4], &[3], &[1, 2]]);
-        let w = crate::dedup_weighted(&t);
-        assert_eq!(w, vec![(vec![1, 2], 3), (vec![3], 2), (vec![4], 1)]);
     }
 
     #[test]

@@ -25,24 +25,6 @@ pub use fptree::{fpgrowth, mine_weighted};
 
 use std::collections::HashMap;
 
-/// Collapse identical transactions into weighted entries, preserving
-/// first-occurrence order — the order contract [`mine_weighted`] needs for
-/// bit-identical results with per-document mining.
-pub fn dedup_weighted(transactions: &[Vec<Item>]) -> Vec<(Vec<Item>, u32)> {
-    let mut index: HashMap<&[Item], usize> = HashMap::with_capacity(transactions.len());
-    let mut out: Vec<(Vec<Item>, u32)> = Vec::new();
-    for t in transactions {
-        match index.entry(t.as_slice()) {
-            std::collections::hash_map::Entry::Occupied(e) => out[*e.get()].1 += 1,
-            std::collections::hash_map::Entry::Vacant(e) => {
-                e.insert(out.len());
-                out.push((t.clone(), 1));
-            }
-        }
-    }
-    out
-}
-
 /// Dense ids for item vectors, handed out in first-occurrence order.
 ///
 /// The loaders use it to collapse a partition's documents into distinct
@@ -70,10 +52,12 @@ impl Interner {
     }
 }
 
-/// [`dedup_weighted`] for transactions already reduced to ids: `ids[d]`
-/// indexes document `d`'s transaction in `distinct`. One counting pass, no
-/// hashing and no copies; entries come out in first-occurrence order, as
-/// [`mine_weighted`] requires.
+/// Weighted transactions for documents reduced to [`Interner`] ids:
+/// `ids[d]` indexes document `d`'s transaction in `distinct`, and each
+/// distinct transaction comes out once with its document count. One
+/// counting pass, no hashing and no copies; entries come out in
+/// first-occurrence order, the order contract [`mine_weighted`] needs for
+/// bit-identical results with per-document mining.
 pub fn weighted_by_id<'a>(distinct: &'a [Vec<Item>], ids: &[u32]) -> Vec<(&'a [Item], u32)> {
     const UNSEEN: usize = usize::MAX;
     let mut slot = vec![UNSEEN; distinct.len()];
@@ -290,15 +274,11 @@ mod tests {
         assert_eq!(ids, vec![0, 1, 0, 2, 1, 0]);
         let distinct = interner.into_distinct();
         assert_eq!(distinct, tx(&[&[1, 2], &[3], &[4]]));
-        // The id form of a sub-range weighs exactly like the vector form:
-        // first-occurrence order within the range, not global id order.
+        // A sub-range weighs in first-occurrence order within the range,
+        // not in global id order.
         let by_id = weighted_by_id(&distinct, &ids[1..]);
-        let by_vec = dedup_weighted(&t[1..]);
-        assert_eq!(by_id.len(), by_vec.len());
-        for ((a, wa), (b, wb)) in by_id.iter().zip(&by_vec) {
-            assert_eq!((*a, wa), (b.as_slice(), wb));
-        }
-        assert_eq!(by_id[0], (&[3][..], 2));
+        let want: [(&[Item], u32); 3] = [(&[3], 2), (&[1, 2], 2), (&[4], 1)];
+        assert_eq!(by_id, want);
     }
 
     #[test]

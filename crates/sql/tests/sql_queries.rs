@@ -254,6 +254,43 @@ fn bare_count_star_counts_every_row() {
 }
 
 #[test]
+fn non_finite_floats_answer_alike_in_every_mode() {
+    // JSON has no NaN or infinity: every mode must store them as null.
+    let docs: Vec<Value> = (0..40)
+        .map(|i| {
+            let x = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.5][i % 4];
+            Value::Object(vec![
+                ("id".into(), Value::int(i as i64)),
+                ("x".into(), Value::float(x)),
+                ("xs".into(), Value::Array(vec![Value::float(x)])),
+            ])
+        })
+        .collect();
+    let sql = "SELECT data->>'id'::INT AS id, data->>'x'::FLOAT, data->'xs'->>0 \
+               FROM t ORDER BY id";
+    let mut expected: Option<Vec<String>> = None;
+    for mode in [
+        StorageMode::JsonText,
+        StorageMode::Jsonb,
+        StorageMode::Sinew,
+        StorageMode::Tiles,
+    ] {
+        let rel = Relation::load(&docs, TilesConfig::with_mode(mode));
+        let count = query("SELECT COUNT(data->>'x'::FLOAT) FROM t", &[("t", &rel)]).unwrap();
+        assert_eq!(
+            count.column(0)[0].as_i64(),
+            Some(10),
+            "{mode:?}: finite only"
+        );
+        let lines = query(sql, &[("t", &rel)]).unwrap().to_lines();
+        match &expected {
+            None => expected = Some(lines),
+            Some(e) => assert_eq!(e, &lines, "{mode:?}"),
+        }
+    }
+}
+
+#[test]
 fn tpch_q10_figure5_style() {
     // The Figure 5 query, in SQL, over the combined TPC-H relation.
     let data = jt_data::tpch::generate(jt_data::tpch::TpchConfig {

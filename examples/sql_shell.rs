@@ -21,7 +21,7 @@ fn main() {
         items: 20_000,
         seed: 1,
     });
-    let rel = Relation::load_with_threads(&items, TilesConfig::default(), 4);
+    let rel = Relation::load(&items, TilesConfig::default());
     println!(
         "loaded {} HackerNews-style items into {} tiles — table name: items",
         rel.row_count(),

@@ -29,7 +29,7 @@ fn main() {
         data.covid_tweets
     );
 
-    let rel = Relation::load_with_threads(&data.docs, TilesConfig::default(), 4);
+    let rel = Relation::load(&data.docs, TilesConfig::default());
     println!(
         "loaded into {} tiles at {:.0}k tuples/sec",
         rel.tiles().len(),

@@ -67,7 +67,7 @@ fn yelp_and_twitter_suites_run_under_parallel_scans() {
         businesses: 80,
         seed: 4,
     });
-    let yrel = Relation::load_with_threads(&y.docs, TilesConfig::default(), 4);
+    let yrel = Relation::load(&y.docs, TilesConfig::default());
     let opts = ExecOptions {
         threads: 4,
         ..ExecOptions::default()
@@ -81,7 +81,7 @@ fn yelp_and_twitter_suites_run_under_parallel_scans() {
         docs: 2000,
         ..Default::default()
     });
-    let trel = Relation::load_with_threads(&t.docs, TilesConfig::default(), 4);
+    let trel = Relation::load(&t.docs, TilesConfig::default());
     for q in 1..=twitter::QUERY_COUNT {
         let seq = twitter::run_query(q, &trel, ExecOptions::default()).to_lines();
         let par = twitter::run_query(q, &trel, opts.clone()).to_lines();

@@ -29,7 +29,7 @@ fn tpch_explain_goldens() {
         scale: 0.04,
         seed: 7,
     });
-    let rel = Relation::load_parallel(&d.combined(), TilesConfig::default());
+    let rel = Relation::load(&d.combined(), TilesConfig::default());
     let bless = std::env::var_os("JT_BLESS").is_some();
     let mut failures = Vec::new();
     for q in 1..=tpch::QUERY_COUNT {

@@ -10,7 +10,11 @@
 //! --nocapture` prints the new ones.
 //!
 //! The append pins do the same for published generations: a bulk load
-//! followed by `Relation::with_appended` batches, in all four modes.
+//! followed by `Relation::with_appended` batches, in all four modes. The
+//! insert, recompute and `Value`-load pins cover the other ways tiles are
+//! formed — `insert`/`flush`, §4.7 `Tile::recompute` and
+//! `Relation::load(&[Value])` — with constants recorded while those paths
+//! still ran the eager tree builder.
 
 use json_tiles::data::{self, to_ndjson};
 use json_tiles::json::Value;
@@ -201,6 +205,103 @@ fn hackernews_append_layout_is_pinned() {
             (StorageMode::JsonText, 0x6635_a730, 0x03da_f4f1),
         ],
     );
+}
+
+/// The four storage modes with the small-tile config of the append pins.
+const MODES: [StorageMode; 4] = [
+    StorageMode::Tiles,
+    StorageMode::Sinew,
+    StorageMode::Jsonb,
+    StorageMode::JsonText,
+];
+
+#[test]
+fn insert_layout_is_pinned() {
+    // 700 inserts auto-flush two full 256-row partitions; `flush` forms the
+    // 188-row tail.
+    let d = data::twitter::generate(data::twitter::TwitterConfig {
+        docs: 700,
+        evolving: true,
+        seed: 3,
+        ..data::twitter::TwitterConfig::default()
+    });
+    let pins = [0xebc4_bb4fu32, 0x6c7a_a699, 0x7305_0d4d, 0xca04_7b1d];
+    for (mode, expected) in MODES.into_iter().zip(pins) {
+        let mut rel = Relation::new(append_config(mode));
+        for doc in &d.docs {
+            rel.insert(doc.clone());
+        }
+        assert_eq!(rel.pending_rows(), 700 - 512, "{mode:?}");
+        rel.flush();
+        assert_eq!(rel.row_count(), 700, "{mode:?}");
+        pin_crc(&format!("insert/{mode:?}"), &rel, expected);
+    }
+}
+
+#[test]
+fn recompute_layout_is_pinned() {
+    // Twitter rows of one tile are replaced by HackerNews items, which
+    // overlap none of its extracted columns, until §4.7 re-forms the tile.
+    let base = data::twitter::generate(data::twitter::TwitterConfig {
+        docs: 1_000,
+        evolving: true,
+        seed: 3,
+        ..data::twitter::TwitterConfig::default()
+    });
+    let items = data::hackernews::generate(data::hackernews::HnConfig { items: 64, seed: 7 });
+    let text = to_ndjson(&base.docs);
+    for (mode, expected) in [
+        (StorageMode::Tiles, 0x1e0d_803eu32),
+        (StorageMode::Sinew, 0x433e_da97),
+    ] {
+        let (mut rel, _) =
+            Relation::try_load_ondemand(text.as_bytes(), append_config(mode), 2).unwrap();
+        let first = rel.tile_offset(1);
+        let mut updated = 0;
+        loop {
+            rel.update(first + updated, &items[updated]);
+            updated += 1;
+            if rel.outlier_rows() == 0 {
+                break;
+            }
+            assert!(updated < rel.tiles()[1].len(), "{mode:?}: never recomputed");
+        }
+        assert_eq!(updated, 33, "{mode:?}: a majority of 64 rows");
+        pin_crc(&format!("recompute/{mode:?}"), &rel, expected);
+    }
+}
+
+#[test]
+fn value_load_layout_is_pinned() {
+    let tweets = data::twitter::generate(data::twitter::TwitterConfig {
+        docs: 1_000,
+        evolving: true,
+        seed: 3,
+        ..data::twitter::TwitterConfig::default()
+    })
+    .docs;
+    let items = data::hackernews::generate(data::hackernews::HnConfig {
+        items: 1_000,
+        seed: 7,
+    });
+    let pins = [
+        (
+            "twitter",
+            &tweets,
+            [0x4213_d20cu32, 0xb2e2_fc01, 0x5203_b524, 0xbad9_acba],
+        ),
+        (
+            "hackernews",
+            &items,
+            [0xca8d_e348, 0x9c3a_01a6, 0x7a7e_cf95, 0x6b8b_df6a],
+        ),
+    ];
+    for (tag, docs, crcs) in pins {
+        for (mode, expected) in MODES.into_iter().zip(crcs) {
+            let rel = Relation::load(docs, append_config(mode));
+            pin_crc(&format!("load/{tag}/{mode:?}"), &rel, expected);
+        }
+    }
 }
 
 #[test]

@@ -14,7 +14,7 @@ fn combined_relation(scale: f64, seed: u64) -> Relation {
     // Parallel tile formation: partitions split on fixed document ranges
     // and merge in order, so the relation is identical to a sequential
     // load — which the tests below implicitly re-verify.
-    Relation::load_parallel(&d.combined(), TilesConfig::default())
+    Relation::load(&d.combined(), TilesConfig::default())
 }
 
 /// Every TPC-H query's profile must satisfy the scan accounting
@@ -206,7 +206,7 @@ fn large_order_by_is_parallel_and_bit_identical() {
             jt_json::parse(&format!(r#"{{"v": {v}, "f": {f}, "id": {i}}}"#)).unwrap()
         })
         .collect();
-    let rel = Relation::load_parallel(&docs, TilesConfig::default());
+    let rel = Relation::load(&docs, TilesConfig::default());
     let run = |sql_text: &str, threads: usize| {
         let out = sql::execute(
             sql_text,
@@ -402,8 +402,9 @@ fn metrics_snapshot_round_trips_through_json() {
 }
 
 /// Partition reordering reports what it worked on — distinct shapes in,
-/// candidate itemsets mined, survivors matched — whichever loader called
-/// it, so a slow load can be attributed from `jt metrics` alone.
+/// candidate itemsets mined, survivors matched — whichever entry point
+/// (`Value`s or NDJSON text) the load came through, so a slow load can be
+/// attributed from `jt metrics` alone.
 #[test]
 fn reorder_counters_are_published_by_both_loaders() {
     obs::set_enabled(true);
@@ -429,18 +430,18 @@ fn reorder_counters_are_published_by_both_loaders() {
     };
     let before = read();
     let _ = Relation::load(&docs, config);
-    let after_eager = read();
+    let after_values = read();
     let text = data::to_ndjson(&docs);
     Relation::try_load_ondemand(text.as_bytes(), config, 1).expect("ondemand load");
-    let after_ondemand = read();
+    let after_text = read();
     for (i, name) in NAMES.iter().enumerate() {
         assert!(
-            after_eager[i] > before[i],
-            "{name}: eager load added nothing"
+            after_values[i] > before[i],
+            "{name}: Value load added nothing"
         );
         assert!(
-            after_ondemand[i] > after_eager[i],
-            "{name}: on-demand load added nothing"
+            after_text[i] > after_values[i],
+            "{name}: NDJSON load added nothing"
         );
     }
 }

@@ -1,22 +1,25 @@
-//! On-demand ingestion equivalence: for every workload generator and every
-//! storage mode, the structural-index pipeline (`try_load_ondemand`) must
-//! produce a relation whose persisted file is byte-identical to the eager
-//! tree-building pipeline over the same NDJSON text. Byte identity of the
-//! save image is the strongest end-to-end check we have: it covers tile
-//! schemas, mined itemsets, reordering decisions, dictionaries, Bloom
-//! filters, sketches, and the JSONB fallback encoding all at once.
+//! The two ways in: for every workload generator and every storage mode,
+//! loading documents as `Value` trees (`Relation::load`, which prints them
+//! and loads the printed text) must save byte for byte like loading the
+//! NDJSON text they were parsed from (`try_load_ondemand`). For text the
+//! printer would never emit, this is what shows that parsing and printing
+//! lose nothing the tiles depend on.
+//!
+//! The loader's own reference — the eager tree-building pipeline — lives in
+//! jt-core's `cfg(test)` `eager` module, whose tests compare the same
+//! corpora against it.
 
 use json_tiles::data::{self, from_ndjson, to_ndjson};
 use json_tiles::tiles::{Relation, StorageMode, TilesConfig};
 
 /// Save both relations into a scratch directory and compare raw bytes.
-fn assert_save_identical(tag: &str, eager: &mut Relation, ondemand: &mut Relation) {
+fn assert_save_identical(tag: &str, from_values: &mut Relation, from_text: &mut Relation) {
     let dir = std::env::temp_dir().join(format!("jt-ondemand-{}-{}", tag, std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let a = dir.join("eager.jt");
-    let b = dir.join("ondemand.jt");
-    eager.save(&a).unwrap();
-    ondemand.save(&b).unwrap();
+    let a = dir.join("values.jt");
+    let b = dir.join("text.jt");
+    from_values.save(&a).unwrap();
+    from_text.save(&b).unwrap();
     let ba = std::fs::read(&a).unwrap();
     let bb = std::fs::read(&b).unwrap();
     std::fs::remove_dir_all(&dir).ok();
@@ -25,14 +28,18 @@ fn assert_save_identical(tag: &str, eager: &mut Relation, ondemand: &mut Relatio
 
 /// Load the same text both ways under `config` and demand byte identity.
 fn check(tag: &str, text: &str, config: TilesConfig) {
-    let eager_docs = from_ndjson(text).docs;
-    let mut eager = Relation::load_with_threads(&eager_docs, config, 2);
-    let (mut ondemand, report) =
+    let docs = from_ndjson(text).docs;
+    let mut from_values = Relation::load(&docs, config);
+    let (mut from_text, report) =
         Relation::try_load_ondemand(text.as_bytes(), config, 2).expect("ondemand load");
-    assert_eq!(report.docs, eager_docs.len(), "{tag}: doc count");
+    assert_eq!(report.docs, docs.len(), "{tag}: doc count");
     assert_eq!(report.skipped, 0, "{tag}: no malformed lines expected");
-    assert_eq!(ondemand.row_count(), eager.row_count(), "{tag}: row count");
-    assert_save_identical(tag, &mut eager, &mut ondemand);
+    assert_eq!(
+        from_text.row_count(),
+        from_values.row_count(),
+        "{tag}: row count"
+    );
+    assert_save_identical(tag, &mut from_values, &mut from_text);
 }
 
 /// Small tiles and partitions so every workload spans multiple tiles and
@@ -96,8 +103,8 @@ fn tpch_save_identical_shuffled() {
         scale: 0.01,
         seed: 17,
     });
-    // Shuffled interleaving is the reordering stress case (§6.4): the
-    // on-demand pipeline must reproduce the exact same reordering moves.
+    // Shuffled interleaving is the reordering stress case (§6.4): both
+    // ways in must make the exact same reordering moves.
     let docs = d.shuffled(99);
     let text = to_ndjson(&docs);
     check("tpch-shuffled", &text, small(StorageMode::Tiles));
@@ -141,12 +148,12 @@ fn client_text_save_identical_across_modes() {
     );
     for (mode, name) in MODES {
         let config = small(mode);
-        let eager = Relation::load_with_threads(&from_ndjson(&text).docs, config, 2);
-        let (ondemand, report) =
+        let from_values = Relation::load(&from_ndjson(&text).docs, config);
+        let (from_text, report) =
             Relation::try_load_ondemand(text.as_bytes(), config, 2).expect("ondemand load");
         assert_eq!((report.docs, report.skipped), (330, 30), "{name}");
         assert!(
-            eager.to_bytes() == ondemand.to_bytes(),
+            from_values.to_bytes() == from_text.to_bytes(),
             "client-{name}: persisted images diverge"
         );
     }
